@@ -135,9 +135,11 @@ runCluster(const ClusterConfig &cfg)
     r.router = router->stats();
     const double tail_q = cfg.shard.obs.attrTailQuantile;
     r.totalEvents = router->ctx().events().dispatched();
+    r.clampedSchedules = router->ctx().events().clampedSchedules();
     for (auto &s : shards) {
         r.shards.push_back(s->summary(tail_q));
         r.totalEvents += r.shards.back().events;
+        r.clampedSchedules += s->ctx().events().clampedSchedules();
     }
     r.simSpan = r.router.lastCompletion > r.router.firstIssue
                     ? r.router.lastCompletion - r.router.firstIssue

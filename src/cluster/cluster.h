@@ -45,6 +45,10 @@ struct ClusterResult
     std::uint64_t totalEvents = 0;
     /** Keys verified across all shards post-run. */
     std::uint64_t verifiedKeys = 0;
+    /** Past-tick schedules clamped to now(), summed over the router
+     *  and the shards; nonzero means a message or event broke the
+     *  conservative-window invariant. Not part of cluster.json. */
+    std::uint64_t clampedSchedules = 0;
 
     /** Cluster-wide telemetry rollup (probes/samples/events/anomalies
      *  summed over shards; enabled per cfg.shard.obs.telemetry). */

@@ -4,11 +4,10 @@
  *
  * A node owns a private SimContext (event queue, clock, RNG,
  * observability sinks) and an outbox of cross-node messages. The
- * synchronizer advances nodes in bounded time windows — one worker
- * thread per node per window, the node's context installed via
+ * synchronizer advances nodes in bounded time windows — each node on
+ * the same thread for the whole run, its context installed via
  * SimContextScope — and exchanges outboxes at window barriers, so a
- * node's state is only ever touched while it is the unit of work of
- * exactly one thread.
+ * node's state is only ever touched by one thread at a time.
  */
 
 #ifndef CHECKIN_CLUSTER_NODE_H_

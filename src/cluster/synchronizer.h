@@ -16,14 +16,19 @@
  *   3. open the next window at m = min over nodes of nextEventTick
  *      (idle gaps are skipped wholesale, so windows are dense in
  *      event time, not wall time);
- *   4. advance every node with events due in [m, m + lookahead) on a
- *      worker pool, each node wrapped in its own SimContextScope.
+ *   4. advance every node with events due in [m, m + lookahead),
+ *      each wrapped in its own SimContextScope. With T threads, node
+ *      i runs on thread i mod T for the whole run (thread 0 is the
+ *      caller, so the router stays there); threads hand windows off
+ *      through two atomic counters, spinning briefly, then yielding,
+ *      then parking.
  *
  * Determinism contract: a node's window execution is ordinary
  * single-threaded DES over its private SimContext, message delivery
- * order is canonical, and the pool only decides *which thread* runs a
- * node — never the order of anything observable. Results are
- * byte-identical for 1 and K worker threads (tests/test_cluster.cc).
+ * order is canonical, and the thread count only decides *which
+ * thread* runs a node — never the order of anything observable.
+ * Results are byte-identical for 1 and K threads
+ * (tests/test_cluster.cc).
  */
 
 #ifndef CHECKIN_CLUSTER_SYNCHRONIZER_H_
@@ -47,8 +52,9 @@ struct SyncStats
 
 /**
  * Advance @p nodes in conservative windows of @p lookahead ticks on
- * @p threads worker threads (1 = serial on the calling thread) until
- * @p done returns true at a barrier, or no node has a pending event.
+ * @p threads threads (1 = serial on the calling thread; 0 resolves
+ * through resolveJobs; never more than one per node) until @p done
+ * returns true at a barrier, or no node has a pending event.
  *
  * @p done is evaluated after message delivery, so a predicate like
  * "router completed all ops" observes a fully drained system.

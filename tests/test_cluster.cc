@@ -11,6 +11,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,10 +35,24 @@ testConfig()
     return cfg;
 }
 
+/** Five shards, so six nodes: 4 threads own them unevenly, and 8
+ *  threads exceed the node count. */
+ClusterConfig
+fiveShardConfig()
+{
+    ClusterConfig cfg = testConfig();
+    cfg.shardCount = 5;
+    cfg.shard.engine.recordCount = 800;
+    cfg.seed = 7;
+    return cfg;
+}
+
 std::string
 runJson(ClusterConfig cfg)
 {
     const ClusterResult r = runCluster(cfg);
+    EXPECT_EQ(r.clampedSchedules, 0u)
+        << cfg.syncThreads << " threads broke the window invariant";
     return clusterResultJson(cfg, r);
 }
 
@@ -58,20 +73,24 @@ TEST(HashRing, CoversAllShardsDeterministically)
 
 TEST(Cluster, ByteIdenticalAcrossSyncThreads)
 {
-    ClusterConfig cfg = testConfig();
-    ASSERT_GE(cfg.shardCount, 4u);
-
-    cfg.syncThreads = 1;
-    const std::string serial = runJson(cfg);
-    ASSERT_FALSE(serial.empty());
-
-    cfg.syncThreads = 4;
-    EXPECT_EQ(serial, runJson(cfg))
-        << "4 synchronizer threads changed the result";
+    std::vector<std::string> serial;
+    for (ClusterConfig cfg : {testConfig(), fiveShardConfig()}) {
+        SCOPED_TRACE(std::to_string(cfg.shardCount) + " shards");
+        ASSERT_GE(cfg.shardCount, 4u);
+        cfg.syncThreads = 1;
+        serial.push_back(runJson(cfg));
+        ASSERT_FALSE(serial.back().empty());
+        for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+            cfg.syncThreads = threads;
+            EXPECT_EQ(serial.back(), runJson(cfg))
+                << threads << " synchronizer threads changed the result";
+        }
+    }
 
     // Byte-identical also when whole cluster runs execute
     // concurrently (sweep-style outer parallelism): every run is
     // isolated in its own SimContexts.
+    const ClusterConfig cfg = testConfig();
     std::vector<std::string> outer(4);
     {
         std::vector<std::thread> workers;
@@ -87,13 +106,64 @@ TEST(Cluster, ByteIdenticalAcrossSyncThreads)
             t.join();
     }
     for (const std::string &json : outer)
-        EXPECT_EQ(serial, json);
+        EXPECT_EQ(serial.front(), json);
+}
+
+TEST(Cluster, IdleWorkersParkAndWake)
+{
+    // No window at all: perfbench's set-up-only call builds the pool
+    // and tears it down while its workers wait for a first window.
+    ClusterConfig empty = testConfig();
+    empty.workload.operationCount = 0;
+    // A trickle of open-loop arrivals: most windows hold only router
+    // events, so workers run out their spin and park between the
+    // windows that reach their shards.
+    ClusterConfig trickle = testConfig();
+    trickle.workload.operationCount = 400;
+    trickle.traffic.mode = LoopMode::Open;
+    trickle.traffic.offeredOpsPerSec = 2000.0;
+
+    for (ClusterConfig cfg : {empty, trickle}) {
+        SCOPED_TRACE(std::to_string(cfg.workload.operationCount) + " ops");
+        cfg.syncThreads = 1;
+        const std::string serial = runJson(cfg);
+        cfg.syncThreads = 4;
+        EXPECT_EQ(serial, runJson(cfg));
+    }
+    EXPECT_EQ(runCluster(empty).sync.windows, 0u);
+}
+
+/** A node with no behaviour of its own; tests schedule its events. */
+class BareNode : public ClusterNode
+{
+  public:
+    BareNode() : ClusterNode(1, "bare") {}
+
+  protected:
+    void onMessage(const Message &) override {}
+};
+
+TEST(Cluster, WindowExceptionReachesCaller)
+{
+    // At 2 threads node 1 runs on the worker: its exception must
+    // reach the caller as it does at 1 thread, not terminate.
+    for (const unsigned threads : {1u, 2u}) {
+        BareNode idle;
+        BareNode failing;
+        failing.ctx().events().schedule(
+            1, [] { throw std::runtime_error("node failed"); });
+        const std::vector<ClusterNode *> nodes = {&idle, &failing};
+        EXPECT_THROW(runWindows(nodes, 10, threads, [] { return false; }),
+                     std::runtime_error)
+            << threads << " threads";
+    }
 }
 
 TEST(Cluster, RoutingInvariantsHold)
 {
     ClusterConfig cfg = testConfig();
     const ClusterResult r = runCluster(cfg);
+    EXPECT_EQ(r.clampedSchedules, 0u);
 
     EXPECT_EQ(r.router.opsIssued, cfg.workload.operationCount);
     EXPECT_EQ(r.router.opsCompleted, cfg.workload.operationCount);
@@ -135,6 +205,7 @@ TEST(Cluster, CoordinationPoliciesCheckpointEveryShard)
         cfg.coordination = policy;
         const ClusterResult r = runCluster(cfg);
         SCOPED_TRACE(ckptCoordinationName(policy));
+        EXPECT_EQ(r.clampedSchedules, 0u);
 
         std::uint64_t checkpoints = 0;
         for (const ShardSummary &s : r.shards) {

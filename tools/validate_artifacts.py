@@ -279,7 +279,9 @@ def validate_cluster(path, doc):
 
 def validate_bench_cluster(path, doc):
     """BENCH_cluster.json: per-run scaling metrics, every policy
-    name known, wall-clock derived fields present."""
+    name known, wall-clock derived fields present, the synchronizer
+    thread count recorded, and runs that differ only in thread count
+    simulating exactly the same thing."""
     require(path, doc, "bench", str)
     runs = require(path, doc, "runs", list)
     if runs is None:
@@ -287,6 +289,7 @@ def validate_bench_cluster(path, doc):
     if not runs:
         err(path, "no runs")
         return
+    simulated = {}
     for i, run in enumerate(runs):
         ctx = f"runs[{i}]"
         require(path, run, "label", str)
@@ -299,9 +302,19 @@ def validate_bench_cluster(path, doc):
         require(path, result, "shardCount", int)
         require(path, result, "opsCompleted", int)
         require(path, result, "totalEvents", int)
+        threads = require(path, result, "syncThreads", int)
+        if threads is not None and threads < 1:
+            err(path, f"{ctx}: syncThreads {threads} < 1")
         for key in ("eventsPerSec", "p999Us", "throughputOps",
                     "wallSeconds"):
             require(path, result, key, (int, float))
+        sim = tuple(result.get(k) for k in
+                    ("totalEvents", "simSpanTicks", "p999Us"))
+        key = (result.get("shardCount"), policy,
+               result.get("opsCompleted"))
+        if simulated.setdefault(key, sim) != sim:
+            err(path, f"{ctx}: simulated result differs from another "
+                      f"run of {key} on a different thread count")
 
 
 def validate_bench(path, doc):
