@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 
 #include "engine/journal.h"
@@ -21,13 +22,28 @@ namespace {
 // formatLogSize (pure Algorithm 2)
 // ---------------------------------------------------------------------
 
+// gtest prints a FormatCase as its raw bytes, and ctest names each case
+// after that dump. The last three bytes used to be padding holding stack
+// leftovers (partly address bits), so the names changed from run to run.
+// They are now explicit, set to the bytes the names were first recorded
+// with, which keeps every case's name stable.
+using NameBytes = std::array<std::uint8_t, 3>;
+constexpr NameBytes kName00{0x00, 0x00, 0x00};
+constexpr NameBytes kName56{0x56, 0x00, 0x00};
+constexpr NameBytes kName7F{0x7F, 0x00, 0x00};
+constexpr NameBytes kNameCB{0xCB, 0xC9, 0x00};
+constexpr NameBytes kNameFF{0xFF, 0xFF, 0xFF};
+
 struct FormatCase
 {
     std::uint32_t valueBytes;
     std::uint32_t unitBytes;
     std::uint32_t wantChunks;
     LogType wantType;
+    NameBytes nameBytes;
 };
+static_assert(sizeof(FormatCase) == 16,
+              "FormatCase must have no padding: its bytes name the tests");
 
 class FormatAligned : public ::testing::TestWithParam<FormatCase>
 {
@@ -47,31 +63,31 @@ INSTANTIATE_TEST_SUITE_P(
     Unit512, FormatAligned,
     ::testing::Values(
         // <= unit: bucketed to unit/4 = 128 B steps.
-        FormatCase{1, 512, 1, LogType::Partial},
-        FormatCase{128, 512, 1, LogType::Partial},
-        FormatCase{129, 512, 2, LogType::Partial},
-        FormatCase{256, 512, 2, LogType::Partial},
-        FormatCase{384, 512, 3, LogType::Partial},
-        FormatCase{385, 512, 4, LogType::Full},
-        FormatCase{512, 512, 4, LogType::Full},
+        FormatCase{1, 512, 1, LogType::Partial, kNameFF},
+        FormatCase{128, 512, 1, LogType::Partial, kName00},
+        FormatCase{129, 512, 2, LogType::Partial, kNameCB},
+        FormatCase{256, 512, 2, LogType::Partial, kNameCB},
+        FormatCase{384, 512, 3, LogType::Partial, kNameFF},
+        FormatCase{385, 512, 4, LogType::Full, kNameCB},
+        FormatCase{512, 512, 4, LogType::Full, kNameFF},
         // > unit: compressed by 0.85, then unit aligned.
         // 1024 * 0.85 = 871 -> 2 units = 8 chunks.
-        FormatCase{1024, 512, 8, LogType::Full},
+        FormatCase{1024, 512, 8, LogType::Full, kName00},
         // 4096 * 0.85 = 3482 -> 7 units = 28 chunks.
-        FormatCase{4096, 512, 28, LogType::Full},
+        FormatCase{4096, 512, 28, LogType::Full, kName00},
         // 513 * 0.85 = 437 -> 1 unit.
-        FormatCase{513, 512, 4, LogType::Full}));
+        FormatCase{513, 512, 4, LogType::Full, kName7F}));
 
 INSTANTIATE_TEST_SUITE_P(
     Unit4096, FormatAligned,
     ::testing::Values(
         // Buckets of 1024 B = 8 chunks.
-        FormatCase{128, 4096, 8, LogType::Partial},
-        FormatCase{1024, 4096, 8, LogType::Partial},
-        FormatCase{1025, 4096, 16, LogType::Partial},
-        FormatCase{3072, 4096, 24, LogType::Partial},
-        FormatCase{3073, 4096, 32, LogType::Full},
-        FormatCase{4096, 4096, 32, LogType::Full}));
+        FormatCase{128, 4096, 8, LogType::Partial, kNameCB},
+        FormatCase{1024, 4096, 8, LogType::Partial, kNameFF},
+        FormatCase{1025, 4096, 16, LogType::Partial, kName56},
+        FormatCase{3072, 4096, 24, LogType::Partial, kName56},
+        FormatCase{3073, 4096, 32, LogType::Full, kName7F},
+        FormatCase{4096, 4096, 32, LogType::Full, kName56}));
 
 TEST(FormatConventional, StoresRawChunkCount)
 {
