@@ -7,9 +7,10 @@
  *
  * Both kernels dispatch the *same* deterministic event stream (the
  * golden test in tests/test_event_queue_golden.cc proves order
- * equality), so the comparison isolates kernel overhead. Unlike the
- * figure benches, BENCH_kernel.json contains wall-clock-derived
- * numbers and is not byte-deterministic across invocations.
+ * equality against the same tests/reference_event_queue.h), so the
+ * comparison isolates kernel overhead. Unlike the figure benches,
+ * BENCH_kernel.json contains wall-clock-derived numbers and is not
+ * byte-deterministic across invocations.
  *
  * Usage: bench_kernel [--quick]
  */
@@ -19,14 +20,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <new>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "obs/telemetry.h"
+#include "reference_event_queue.h"
 #include "sim/event_queue.h"
 #include "sim/inline_event.h"
 #include "sim/rng.h"
@@ -86,64 +86,6 @@ namespace {
 using bench::BenchReport;
 using bench::modeName;
 using bench::printHeader;
-
-/** The pre-calendar kernel: std::priority_queue + std::function. */
-class ReferenceEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return now_; }
-
-    void
-    schedule(Tick when, Callback cb)
-    {
-        if (when < now_)
-            when = now_;
-        events_.push(Event{when, nextSeq_++, std::move(cb)});
-    }
-
-    void
-    scheduleAfter(Tick delay, Callback cb)
-    {
-        schedule(now_ + delay, std::move(cb));
-    }
-
-    bool
-    step()
-    {
-        if (events_.empty())
-            return false;
-        Event ev = std::move(const_cast<Event &>(events_.top()));
-        events_.pop();
-        now_ = ev.when;
-        ev.cb();
-        return true;
-    }
-
-  private:
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> events_;
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-};
 
 struct KernelRun
 {

@@ -2,18 +2,17 @@
  * @file
  * Extension experiment — crash-recovery time vs accumulated journal
  * (paper §III-G describes the recovery flow; no figure is given, so
- * this records the behaviour of our implementation): catalog load +
- * journal scan + replay-checkpoint, for every configuration.
+ * this records the behaviour of our implementation): a power cut
+ * (device SPOR + firmware rebuild), then catalog load + journal scan
+ * + replay-checkpoint, for every configuration.
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.h"
-#include "engine/storage_engine.h"
+#include "harness/node.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
 
 using namespace checkin;
 using namespace checkin::bench;
@@ -29,40 +28,26 @@ struct Probe
 Probe
 measure(CheckpointMode mode, std::uint64_t updates)
 {
-    ExperimentConfig base = presets::small();
+    ExperimentConfig cfg = presets::small();
+    cfg.engine.mode = mode;
+    cfg.engine.checkpointInterval = 0;
+    cfg.engine.checkpointJournalBytes = 1 * kGiB; // no auto checkpoints
     SimContext ctx;
-    EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg = base.ftl;
-    ftl_cfg.mappingUnitBytes =
-        (mode == CheckpointMode::IscC ||
-         mode == CheckpointMode::CheckIn)
-            ? 512
-            : base.nand.pageBytes;
-    Ssd ssd(ctx, base.nand, ftl_cfg, base.ssd);
-    EngineConfig ecfg = base.engine;
-    ecfg.mode = mode;
-    ecfg.checkpointInterval = 0;
-    ecfg.checkpointJournalBytes = 1 * kGiB; // no auto checkpoints
-    std::unique_ptr<StorageEngine> engine =
-        presets::makeEngine(ctx, ssd, ecfg);
-    engine->load([](std::uint64_t) { return 384u; });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    StorageNode node(ctx, cfg);
+    node.load([](std::uint64_t) { return 384u; });
 
     Rng rng(3);
     for (std::uint64_t i = 0; i < updates; ++i) {
-        engine->update(rng.nextBounded(ecfg.recordCount),
-                       std::uint32_t(128 * (1 + rng.nextBounded(4))),
-                       [](const QueryResult &) {});
+        node.engine().update(
+            rng.nextBounded(cfg.engine.recordCount),
+            std::uint32_t(128 * (1 + rng.nextBounded(4))),
+            [](const QueryResult &) {});
     }
-    eq.run();
+    ctx.events().run();
 
     // Power cut, then recover on a fresh engine.
-    eq.clear();
-    engine.reset();
-    engine = presets::makeEngine(ctx, ssd, ecfg);
-    const RecoveryInfo info = engine->recover();
-    engine->verifyAllKeys();
+    const RecoveryInfo info = node.powerCut().recovery;
+    node.engine().verifyAllKeys();
     return Probe{double(info.duration) / double(kMsec),
                  info.replayedLogs};
 }

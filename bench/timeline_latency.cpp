@@ -9,14 +9,12 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.h"
-#include "engine/storage_engine.h"
+#include "harness/node.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
 #include "sim/timeseries.h"
-#include "ssd/ssd.h"
 
 using namespace checkin;
 using namespace checkin::bench;
@@ -36,18 +34,10 @@ runTimeline(CheckpointMode mode)
 
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg = cfg.ftl;
-    ftl_cfg.mappingUnitBytes = cfg.resolvedMappingUnit();
-    Ssd ssd(ctx, cfg.nand, ftl_cfg, cfg.ssd);
-    const std::unique_ptr<StorageEngine> engine_ptr =
-        presets::makeEngine(ctx, ssd, cfg.engine);
-    StorageEngine &engine = *engine_ptr;
+    StorageNode node(ctx, cfg);
+    StorageEngine &engine = node.engine();
     WorkloadGenerator sizer(cfg.workload, cfg.engine.recordCount);
-    engine.load([&sizer](std::uint64_t k) {
-        return sizer.initialSize(k);
-    });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    node.load([&sizer](std::uint64_t k) { return sizer.initialSize(k); });
     const Tick t0 = eq.now();
 
     const Tick bucket = 20 * kMsec;

@@ -1,19 +1,17 @@
 /**
  * @file
- * Crash-recovery walkthrough: run a write burst, power-cut the host
- * mid-flight (device state survives, host memory does not), rebuild
- * the engine from the device, and show what was recovered.
+ * Crash-recovery walkthrough: run a write burst, cut power mid-flight
+ * (host memory is lost; the device flushes its volatile buffers on
+ * capacitor power and its firmware rebuilds the map), recover the
+ * engine from the device, and show what was recovered.
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "engine/storage_engine.h"
-#include "harness/presets.h"
+#include "harness/node.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
 
 int
 main()
@@ -22,45 +20,41 @@ main()
 
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    NandConfig nand_cfg;
-    nand_cfg.blocksPerPlane = 64;
-    nand_cfg.pagesPerBlock = 64;
-    FtlConfig ftl_cfg; // Check-In class device: 512 B mapping unit
-    Ssd ssd(ctx, nand_cfg, ftl_cfg, SsdConfig{});
+    // Check-In class device: 512 B mapping unit.
+    ExperimentConfig cfg;
+    cfg.nand.blocksPerPlane = 64;
+    cfg.nand.pagesPerBlock = 64;
+    cfg.engine.mode = CheckpointMode::CheckIn;
+    cfg.engine.recordCount = 2000;
+    cfg.engine.journalHalfBytes = 4 * kMiB;
+    cfg.engine.checkpointJournalBytes = 2 * kMiB;
+    cfg.engine.checkpointInterval = 0; // manual checkpoints
 
-    EngineConfig ecfg;
-    ecfg.mode = CheckpointMode::CheckIn;
-    ecfg.recordCount = 2000;
-    ecfg.journalHalfBytes = 4 * kMiB;
-    ecfg.checkpointJournalBytes = 2 * kMiB;
-    ecfg.checkpointInterval = 0; // manual checkpoints
-
-    std::unique_ptr<StorageEngine> engine =
-        presets::makeEngine(ctx, ssd, ecfg);
-    engine->load([](std::uint64_t) { return 512u; });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    StorageNode node(ctx, cfg);
+    node.load([](std::uint64_t) { return 512u; });
     std::printf("loaded %u keys at version 1\n", 2000);
 
     // Phase 1: committed work, then a checkpoint.
     Rng rng(7);
     std::uint64_t committed = 0;
     for (int i = 0; i < 1500; ++i) {
-        engine->update(rng.nextBounded(2000),
-                       std::uint32_t(128 * (1 + rng.nextBounded(4))),
-                       [&](const QueryResult &) { ++committed; });
+        node.engine().update(
+            rng.nextBounded(2000),
+            std::uint32_t(128 * (1 + rng.nextBounded(4))),
+            [&](const QueryResult &) { ++committed; });
     }
     eq.run();
-    engine->requestCheckpoint();
+    node.engine().requestCheckpoint();
     eq.run();
     std::printf("phase 1: %llu updates committed, checkpoint done\n",
                 (unsigned long long)committed);
 
     // Phase 2: more updates, but CRASH while they are in flight.
     for (int i = 0; i < 1000; ++i) {
-        engine->update(rng.nextBounded(2000),
-                       std::uint32_t(128 * (1 + rng.nextBounded(4))),
-                       [&](const QueryResult &) { ++committed; });
+        node.engine().update(
+            rng.nextBounded(2000),
+            std::uint32_t(128 * (1 + rng.nextBounded(4))),
+            [&](const QueryResult &) { ++committed; });
     }
     int steps = 0;
     while (steps++ < 400 && eq.step()) {
@@ -70,27 +64,23 @@ main()
                 double(eq.now()) / double(kMsec),
                 (unsigned long long)committed);
 
-    // Host memory is gone: drop all pending host work + the engine.
-    eq.clear();
-    engine.reset();
-
-    // Recovery: a fresh engine rebuilds from catalog + journal.
-    engine = presets::makeEngine(ctx, ssd, ecfg);
-    const RecoveryInfo info = engine->recover();
+    // Host memory and pending host work are gone, the device runs
+    // SPOR, and a fresh engine rebuilds from catalog + journal.
+    const RecoveryInfo info = node.powerCut().recovery;
     std::printf("recovered: %llu keys from catalog, %llu journal "
                 "logs replayed, %.3f ms simulated recovery time\n",
                 (unsigned long long)info.catalogKeys,
                 (unsigned long long)info.replayedLogs,
                 double(info.duration) / double(kMsec));
 
-    const std::uint64_t verified = engine->verifyAllKeys();
+    const std::uint64_t verified = node.engine().verifyAllKeys();
     std::printf("verified %llu keys after recovery — store is "
                 "consistent\n",
                 (unsigned long long)verified);
 
     // And it keeps serving.
     bool ok = false;
-    engine->get(42, [&](const QueryResult &r) { ok = r.found; });
+    node.engine().get(42, [&](const QueryResult &r) { ok = r.found; });
     eq.run();
     std::printf("post-recovery GET(42): %s\n",
                 ok ? "found" : "missing");

@@ -16,15 +16,14 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "engine/storage_engine.h"
 #include "harness/experiment.h"
+#include "harness/node.h"
 #include "harness/presets.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
 #include "workload/trace.h"
 
 namespace {
@@ -148,15 +147,9 @@ cmdReplay(int argc, char **argv)
     base.engine.recordCount = max_key + 1;
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg = base.ftl;
-    ftl_cfg.mappingUnitBytes = base.resolvedMappingUnit();
-    Ssd ssd(ctx, base.nand, ftl_cfg, base.ssd);
-    const std::unique_ptr<StorageEngine> engine_ptr =
-        presets::makeEngine(ctx, ssd, base.engine);
-    StorageEngine &engine = *engine_ptr;
-    engine.load([](std::uint64_t) { return 384u; });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    StorageNode node(ctx, base);
+    StorageEngine &engine = node.engine();
+    node.load([](std::uint64_t) { return 384u; });
     engine.start();
 
     const Tick start = eq.now();

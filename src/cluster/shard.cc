@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "harness/presets.h"
-
 namespace checkin {
 
 namespace {
@@ -55,46 +53,27 @@ ShardNode::buildAndLoad()
 {
     SimContextScope scope(ctx_);
 
-    // The fault plan must exist before the device (the Ssd wires it
-    // into the NAND at construction); its seed derives from the
-    // shard's context seed, so each shard has its own deterministic
-    // fault schedule.
-    faults_ = std::make_unique<FaultPlan>(
-        cfg_.faults, ctx_.deriveSeed(FaultPlan::kSeedStream));
-    ctx_.setFaults(faults_.get());
-
-    FtlConfig ftl_cfg = cfg_.ftl;
-    ftl_cfg.mappingUnitBytes = cfg_.resolvedMappingUnit();
-    ssd_ = std::make_unique<Ssd>(ctx_, cfg_.nand, ftl_cfg, cfg_.ssd);
-    engine_ = presets::makeEngine(ctx_, *ssd_, cfg_.engine);
+    // The node's fault plan seeds from the shard's context seed, so
+    // each shard has its own deterministic fault schedule.
+    node_ = std::make_unique<StorageNode>(ctx_, cfg_);
 
     // Initial values are sized by the *global* key so shard placement
-    // never changes a key's content, only where it lives.
+    // never changes a key's content, only where it lives. Every
+    // summary is a delta from the node's post-load baseline.
     WorkloadGenerator sizer(
         sizerSpec_,
         std::max<std::uint64_t>(1, globalKeys_.size()));
-    engine_->load([this, &sizer](std::uint64_t local_key) {
+    node_->load([this, &sizer](std::uint64_t local_key) {
         return sizer.initialSize(globalKeys_[local_key]);
     });
-
-    // Drain the load so the measured run starts from an idle device,
-    // then snapshot baselines so every summary is a post-load delta.
-    EventQueue &eq = ctx_.events();
-    eq.schedule(ssd_->quiesceTick(), [] {});
-    eq.run();
-    nandReads0_ = ssd_->nand().stats().get("nand.reads");
-    nandPrograms0_ = ssd_->nand().stats().get("nand.programs");
-    nandErases0_ = ssd_->nand().stats().get("nand.erases");
-    journalStalls0_ = engine_->stats().get("engine.journalStalls");
-    ckptCount0_ = engine_->checkpointDurations().size();
     if (attr_.enabled())
         attr_.clearForMeasurement();
 
     // Arm sampling on the shard's own queue: windows are in shard
     // sim time, untouched by synchronizer threading.
-    telem_.begin(eq);
+    telem_.begin(ctx_.events());
 
-    engine_->start();
+    engine().start();
 }
 
 void
@@ -105,7 +84,7 @@ ShardNode::onMessage(const Message &m)
         execute(m);
         break;
       case Message::Kind::CkptControl:
-        engine_->requestCheckpoint(obs::CkptTrigger::Manual);
+        engine().requestCheckpoint(obs::CkptTrigger::Manual);
         break;
       case Message::Kind::Response:
         assert(false && "shards do not receive responses");
@@ -139,20 +118,20 @@ ShardNode::execute(const Message &m)
     obs::AttrOpScope attr_scope(tok);
     switch (m.op) {
       case WorkloadGenerator::OpType::Read:
-        engine_->get(m.key, std::move(cb));
+        engine().get(m.key, std::move(cb));
         break;
       case WorkloadGenerator::OpType::Update:
-        engine_->update(m.key, m.valueBytes, std::move(cb));
+        engine().update(m.key, m.valueBytes, std::move(cb));
         break;
       case WorkloadGenerator::OpType::Rmw:
-        engine_->readModifyWrite(m.key, m.valueBytes,
+        engine().readModifyWrite(m.key, m.valueBytes,
                                  std::move(cb));
         break;
       case WorkloadGenerator::OpType::Scan:
-        engine_->scan(m.key, m.scanLength, std::move(cb));
+        engine().scan(m.key, m.scanLength, std::move(cb));
         break;
       case WorkloadGenerator::OpType::Delete:
-        engine_->erase(m.key, std::move(cb));
+        engine().erase(m.key, std::move(cb));
         break;
     }
 }
@@ -161,7 +140,7 @@ void
 ShardNode::drainCheckpoint()
 {
     SimContextScope scope(ctx_);
-    while (engine_->checkpointInProgress() && ctx_.events().step()) {
+    while (engine().checkpointInProgress() && ctx_.events().step()) {
     }
     // Flush the residual window before verification reads perturb
     // the shard's device counters.
@@ -179,30 +158,14 @@ ShardNode::summary(double tail_quantile) const
     s.events = ctx_.events().dispatched();
     s.service = service_;
 
-    const std::vector<Tick> &durations =
-        engine_->checkpointDurations();
-    s.checkpoints = durations.size() - ckptCount0_;
-    Tick total = 0;
-    Tick worst = 0;
-    for (std::size_t i = ckptCount0_; i < durations.size(); ++i) {
-        total += durations[i];
-        worst = std::max(worst, durations[i]);
-    }
-    if (s.checkpoints > 0) {
-        s.avgCheckpointMs =
-            double(total) / double(s.checkpoints) / double(kMsec);
-    }
-    s.maxCheckpointMs = double(worst) / double(kMsec);
-
-    s.nandReads =
-        ssd_->nand().stats().get("nand.reads") - nandReads0_;
-    s.nandPrograms =
-        ssd_->nand().stats().get("nand.programs") - nandPrograms0_;
-    s.nandErases =
-        ssd_->nand().stats().get("nand.erases") - nandErases0_;
-    s.journalStalls =
-        engine_->stats().get("engine.journalStalls") -
-        journalStalls0_;
+    const CheckpointTotals ckpts = node_->checkpointsSinceLoad();
+    s.checkpoints = ckpts.count;
+    s.avgCheckpointMs = ckpts.avgMs;
+    s.maxCheckpointMs = ckpts.maxMs;
+    s.nandReads = node_->sinceLoad("nand.reads");
+    s.nandPrograms = node_->sinceLoad("nand.programs");
+    s.nandErases = node_->sinceLoad("nand.erases");
+    s.journalStalls = node_->sinceLoad("engine.journalStalls");
 
     if (attr_.enabled()) {
         s.attribution = attr_.summary(tail_quantile);

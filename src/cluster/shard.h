@@ -2,8 +2,8 @@
  * @file
  * One engine shard: a full private storage stack behind the router.
  *
- * A shard owns its own SimContext, fault plan, Ssd (FTL + NAND), and
- * StorageEngine, plus a per-shard attribution collector. It executes
+ * A shard owns its own SimContext and StorageNode (fault plan, Ssd,
+ * StorageEngine), plus a per-shard attribution collector. It executes
  * Request messages against the engine and sends Response messages
  * back to the router; CkptControl messages start coordinated
  * checkpoints. All counters a shard reports are post-load deltas, so
@@ -20,12 +20,11 @@
 
 #include "cluster/node.h"
 #include "engine/storage_engine.h"
-#include "fault/fault_plan.h"
 #include "harness/experiment.h"
+#include "harness/node.h"
 #include "obs/attribution.h"
 #include "obs/telemetry.h"
 #include "sim/histogram.h"
-#include "ssd/ssd.h"
 #include "workload/ycsb.h"
 
 namespace checkin {
@@ -73,17 +72,17 @@ class ShardNode : public ClusterNode
     ~ShardNode() override;
 
     /**
-     * Construct the device + engine and run the initial load to
-     * quiescence, then snapshot stat baselines and arm the
-     * checkpoint timer. Must run inside this node's SimContextScope;
-     * safe to run for different shards in parallel.
+     * Build the shard's StorageNode and load it (to quiescence, with
+     * its post-load baseline), then arm the checkpoint timer. Enters
+     * this node's SimContextScope itself; safe to run for different
+     * shards in parallel.
      */
     void buildAndLoad();
 
     /** Summarize the shard (call after the run fully drained). */
     ShardSummary summary(double tail_quantile) const;
 
-    StorageEngine &engine() { return *engine_; }
+    StorageEngine &engine() { return node_->engine(); }
 
     /** Shard-local telemetry (enabled per cfg.obs.telemetry). */
     const obs::TelemetrySampler &telemetry() const { return telem_; }
@@ -104,20 +103,11 @@ class ShardNode : public ClusterNode
     WorkloadSpec sizerSpec_;
     Tick responseLatency_;
 
-    std::unique_ptr<FaultPlan> faults_;
-    std::unique_ptr<Ssd> ssd_;
-    std::unique_ptr<StorageEngine> engine_;
+    std::unique_ptr<StorageNode> node_;
     obs::AttributionCollector attr_;
     /** Per-shard sampler, driven by this shard's own event queue so
      *  merged artifacts are independent of synchronizer threading. */
     obs::TelemetrySampler telem_;
-
-    // Post-load baselines.
-    std::uint64_t nandReads0_ = 0;
-    std::uint64_t nandPrograms0_ = 0;
-    std::uint64_t nandErases0_ = 0;
-    std::uint64_t journalStalls0_ = 0;
-    std::uint64_t ckptCount0_ = 0;
 
     // Measured-run accumulation.
     std::uint64_t ops_ = 0;

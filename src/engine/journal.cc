@@ -260,7 +260,7 @@ JournalManager::placeGroup(std::vector<Pending> &group,
                 }
             }
             if (target == nullptr) {
-                bins.push_back(Bin{cursor});
+                bins.push_back(Bin{cursor, 0, {}});
                 cursor += uc;
                 target = &bins.back();
             }

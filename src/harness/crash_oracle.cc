@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "engine/storage_engine.h"
-#include "fault/fault_plan.h"
-#include "harness/presets.h"
+#include "harness/node.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
 
 namespace checkin {
 
@@ -34,7 +30,7 @@ valueBytes(std::uint64_t key, std::uint32_t version)
 }
 
 /**
- * One seeded run of the oracle workload: device + engine + a paced
+ * One seeded run of the oracle workload: a storage node + a paced
  * stream of updates/deletes whose acknowledgements are recorded as
  * (key -> committed version).
  */
@@ -45,33 +41,20 @@ class OracleRun
         : cfg_(cfg),
           ctx_(cfg.seed, "crash-oracle"),
           scope_(ctx_),
-          plan_(cfg.base.faults,
-                ctx_.deriveSeed(FaultPlan::kSeedStream))
+          node_(ctx_, cfg.base)
     {
-        ctx_.setFaults(&plan_);
-        FtlConfig ftl_cfg = cfg.base.ftl;
-        ftl_cfg.mappingUnitBytes = cfg.base.resolvedMappingUnit();
-        ssd_ = std::make_unique<Ssd>(ctx_, cfg.base.nand, ftl_cfg,
-                                     cfg.base.ssd);
-        engine_ = presets::makeEngine(ctx_, *ssd_,
-                                      cfg.base.engine);
-        engine_->load([&cfg](std::uint64_t key) {
+        node_.load([&cfg](std::uint64_t key) {
             return 128u *
                    (1u + std::uint32_t(mix64(key ^ cfg.seed) % 4));
         });
-        EventQueue &eq = ctx_.events();
-        eq.schedule(ssd_->quiesceTick(), [] {});
-        eq.run();
-        loadEnd_ = eq.now();
+        loadEnd_ = ctx_.now();
         issueOps();
-        engine_->start();
+        node_.engine().start();
     }
 
-    EventQueue &events() { return ctx_.events(); }
-    StorageEngine &engine() { return *engine_; }
-    FaultPlan &plan() { return plan_; }
+    StorageEngine &engine() { return node_.engine(); }
+    FaultPlan &plan() { return node_.faults(); }
     Tick loadEnd() const { return loadEnd_; }
-    std::uint32_t ackCount() const { return acks_; }
 
     const std::map<std::uint64_t, std::uint32_t> &
     committed() const
@@ -90,11 +73,11 @@ class OracleRun
         EventQueue &eq = ctx_.events();
         bool in = false;
         Tick start = 0;
-        while (acks_ < cfg_.ops || engine_->checkpointInProgress()) {
+        while (acks_ < cfg_.ops || engine().checkpointInProgress()) {
             if (!eq.step())
                 throw std::logic_error(
                     "oracle probe drained before all ops acked");
-            const bool now_in = engine_->checkpointInProgress();
+            const bool now_in = engine().checkpointInProgress();
             if (now_in != in) {
                 in = now_in;
                 if (in) {
@@ -119,25 +102,16 @@ class OracleRun
     }
 
     /**
-     * Cut power at the current tick, rebuild the device (SPOR), and
-     * recover a fresh engine on top of it.
+     * Cut power at @p crash_tick and recover (StorageNode::powerCut),
+     * folding the cut into the fault schedule digest.
      * @return true when the cut landed mid-checkpoint.
      */
     bool
     crashAndRecover(Tick crash_tick)
     {
-        EventQueue &eq = ctx_.events();
-        const bool mid = engine_->checkpointInProgress();
-        plan_.recordPowerLoss(crash_tick);
-        // Host crash: in-flight continuations die with the queue and
-        // the engine's RAM state is discarded.
-        eq.clear();
-        engine_.reset();
-        ssd_->suddenPowerLoss();
-        ssd_->ftl().checkInvariants();
-        engine_ = presets::makeEngine(ctx_, *ssd_,
-                                      cfg_.base.engine);
-        engine_->recover();
+        const bool mid = engine().checkpointInProgress();
+        plan().recordPowerLoss(crash_tick);
+        node_.powerCut();
         return mid;
     }
 
@@ -154,26 +128,22 @@ class OracleRun
             const Tick at = loadEnd_ + Tick(i + 1) * cfg_.opGap;
             eq.schedule(at, [this, key, del] {
                 auto ack = [this, key](const QueryResult &) {
-                    committed_[key] =
-                        engine_->committedVersion(key);
+                    committed_[key] = engine().committedVersion(key);
                     ++acks_;
                 };
                 if (del)
-                    engine_->erase(key, std::move(ack));
+                    engine().erase(key, std::move(ack));
                 else
-                    engine_->update(
+                    engine().update(
                         key,
-                        valueBytes(key,
-                                   engine_->committedVersion(key)),
+                        valueBytes(key, engine().committedVersion(key)),
                         std::move(ack));
             });
             // Guaranteed checkpoint activity even when the timer is
             // long relative to the run: one forced checkpoint at a
             // third of the way, one at two thirds.
             if (i == cfg_.ops / 3 || i == 2 * cfg_.ops / 3) {
-                eq.schedule(at, [this] {
-                    engine_->requestCheckpoint();
-                });
+                eq.schedule(at, [this] { engine().requestCheckpoint(); });
             }
         }
     }
@@ -181,9 +151,7 @@ class OracleRun
     OracleConfig cfg_;
     SimContext ctx_;
     SimContextScope scope_;
-    FaultPlan plan_;
-    std::unique_ptr<Ssd> ssd_;
-    std::unique_ptr<StorageEngine> engine_;
+    StorageNode node_;
     Tick loadEnd_ = 0;
     std::uint32_t acks_ = 0;
     std::map<std::uint64_t, std::uint32_t> committed_;

@@ -1,16 +1,14 @@
 #include "harness/experiment.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "engine/storage_engine.h"
-#include "harness/presets.h"
+#include "harness/node.h"
 #include "harness/run_export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
 
 namespace checkin {
 
@@ -36,39 +34,6 @@ ExperimentConfig::resolvedMappingUnit() const
     }
     return 512;
 }
-
-namespace {
-
-/** Snapshot every stat registry into one prefixed map. */
-std::map<std::string, std::uint64_t>
-collectStats(const Ssd &ssd, const StorageEngine &engine)
-{
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &[k, v] : ssd.nand().stats().all())
-        out[k] = v;
-    for (const auto &[k, v] : ssd.ftl().stats().all())
-        out[k] = v;
-    for (const auto &[k, v] : ssd.stats().all())
-        out[k] = v;
-    for (const auto &[k, v] : engine.stats().all())
-        out[k] = v;
-    return out;
-}
-
-std::uint64_t
-delta(const std::map<std::string, std::uint64_t> &after,
-      const std::map<std::string, std::uint64_t> &before,
-      const std::string &key)
-{
-    const auto a = after.find(key);
-    if (a == after.end())
-        return 0;
-    const auto b = before.find(key);
-    const std::uint64_t base = b == before.end() ? 0 : b->second;
-    return a->second - base;
-}
-
-} // namespace
 
 RunResult
 runExperiment(const ExperimentConfig &cfg)
@@ -132,33 +97,13 @@ runExperiment(const ExperimentConfig &cfg)
         ctx.setTelemetry(&telemetry);
     SimContextScope active(ctx);
 
-    // The fault plan must exist before the device: the Ssd wires it
-    // into the NAND at construction. Its seed derives from the run
-    // seed, so the schedule is part of the run identity.
-    FaultPlan faults(cfg.faults,
-                     ctx.deriveSeed(FaultPlan::kSeedStream));
-    ctx.setFaults(&faults);
-
     EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg = cfg.ftl;
-    ftl_cfg.mappingUnitBytes = cfg.resolvedMappingUnit();
-    Ssd ssd(ctx, cfg.nand, ftl_cfg, cfg.ssd);
-    const std::unique_ptr<StorageEngine> engine_ptr =
-        presets::makeEngine(ctx, ssd, cfg.engine);
-    StorageEngine &engine = *engine_ptr;
-
+    StorageNode node(ctx, cfg);
+    StorageEngine &engine = node.engine();
     WorkloadGenerator sizer(cfg.workload, cfg.engine.recordCount);
-    engine.load([&sizer](std::uint64_t key) {
+    node.load([&sizer](std::uint64_t key) {
         return sizer.initialSize(key);
     });
-
-    // Let the load drain so run-time latencies start from an idle
-    // device, then snapshot stats so results exclude the load.
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
-    const auto before = collectStats(ssd, engine);
-    const std::uint64_t ckpt_before =
-        engine.checkpointDurations().size();
     if (tracer != nullptr) {
         // Drop load-phase events (lane names survive) so the trace
         // covers exactly the measured run.
@@ -222,77 +167,42 @@ runExperiment(const ExperimentConfig &cfg)
     r.throughputOps = r.client.opsPerSec();
     r.avgLatencyUs = r.client.all.mean() / double(kUsec);
 
-    const auto &durations = engine.checkpointDurations();
-    r.checkpoints = durations.size() - ckpt_before;
-    Tick total = 0;
-    Tick worst = 0;
-    for (std::size_t i = ckpt_before; i < durations.size(); ++i) {
-        total += durations[i];
-        worst = std::max(worst, durations[i]);
-    }
-    if (r.checkpoints > 0) {
-        r.avgCheckpointMs =
-            double(total) / double(r.checkpoints) / double(kMsec);
-    }
-    r.maxCheckpointMs = double(worst) / double(kMsec);
+    const CheckpointTotals ckpts = node.checkpointsSinceLoad();
+    r.checkpoints = ckpts.count;
+    r.avgCheckpointMs = ckpts.avgMs;
+    r.maxCheckpointMs = ckpts.maxMs;
 
-    const auto after = collectStats(ssd, engine);
-    r.raw = after;
-    // Fault-plan outcome: counters, wear skew, and the schedule
-    // digest ride along in the raw map so sweeps and the oracle can
-    // assert fault determinism from exported artifacts alone.
-    {
-        const FaultCounters &fc = faults.counters();
-        r.raw["fault.faultyReads"] = fc.faultyReads;
-        r.raw["fault.readRetries"] = fc.readRetries;
-        r.raw["fault.uncorrectableReads"] = fc.uncorrectableReads;
-        r.raw["fault.programFails"] = fc.programFails;
-        r.raw["fault.eraseFails"] = fc.eraseFails;
-        r.raw["fault.powerLosses"] = fc.powerLosses;
-        r.raw["fault.digest"] = faults.digest();
-        r.raw["nand.eraseSkew"] =
-            ssd.nand().maxEraseCount() - ssd.nand().minEraseCount();
-        metrics.set(metrics.counter("fault.digest"),
-                    faults.digest());
-        metrics.set(metrics.counter("fault.uncorrectableReads"),
-                    fc.uncorrectableReads);
-        metrics.set(metrics.counter("fault.programFails"),
-                    fc.programFails);
-        metrics.set(metrics.counter("fault.eraseFails"),
-                    fc.eraseFails);
+    r.raw = node.counters();
+    for (const char *name :
+         {"fault.digest", "fault.uncorrectableReads",
+          "fault.programFails", "fault.eraseFails"}) {
+        metrics.set(metrics.counter(name), r.raw.at(name));
     }
-    r.nandReads = delta(after, before, "nand.reads");
-    r.nandPrograms = delta(after, before, "nand.programs");
-    r.nandErases = delta(after, before, "nand.erases");
-    r.gcInvocations = delta(after, before, "gc.invocations");
-    r.gcMigratedSlots = delta(after, before, "gc.migratedSlots");
-    r.remaps = delta(after, before, "ftl.remaps");
-    r.redundantSlotWrites =
-        delta(after, before, "ftl.slotWrites.checkpoint");
+    r.nandReads = node.sinceLoad("nand.reads");
+    r.nandPrograms = node.sinceLoad("nand.programs");
+    r.nandErases = node.sinceLoad("nand.erases");
+    r.gcInvocations = node.sinceLoad("gc.invocations");
+    r.gcMigratedSlots = node.sinceLoad("gc.migratedSlots");
+    r.remaps = node.sinceLoad("ftl.remaps");
+    r.redundantSlotWrites = node.sinceLoad("ftl.slotWrites.checkpoint");
     r.redundantBytes =
-        r.redundantSlotWrites * ftl_cfg.mappingUnitBytes;
-    r.invalidatedSlots =
-        delta(after, before, "ftl.invalidatedSlots");
-    r.journalPayloadBytes =
-        delta(after, before, "engine.journalPayloadBytes");
-    r.journalChunksStored =
-        delta(after, before, "engine.journalChunksStored");
+        r.redundantSlotWrites * cfg.resolvedMappingUnit();
+    r.invalidatedSlots = node.sinceLoad("ftl.invalidatedSlots");
+    r.journalPayloadBytes = node.sinceLoad("engine.journalPayloadBytes");
+    r.journalChunksStored = node.sinceLoad("engine.journalChunksStored");
     r.journalChunkBytes = kChunkBytes;
-    r.journalStalls = delta(after, before, "engine.journalStalls");
+    r.journalStalls = node.sinceLoad("engine.journalStalls");
     r.journalFillRate = engine.journalFillRate();
     metrics.set(metrics.gauge("journal.fillRate"),
                 std::uint64_t(r.journalFillRate));
-    r.mergedUnits = delta(after, before, "engine.mergedUnits");
-    r.ckptLogsSeen = delta(after, before, "engine.ckptLogsSeen");
-    r.ckptLatestEntries =
-        delta(after, before, "engine.ckptLatestEntries");
-    r.hostWriteSectors =
-        delta(after, before, "ftl.hostWriteSectors");
-    r.hostReadSectors = delta(after, before, "ftl.hostReadSectors");
-    r.ckptDataTicks = delta(after, before, "engine.ckptDataTicks");
-    r.ckptMetaTicks = delta(after, before, "engine.ckptMetaTicks");
-    r.ckptDeleteTicks =
-        delta(after, before, "engine.ckptDeleteTicks");
+    r.mergedUnits = node.sinceLoad("engine.mergedUnits");
+    r.ckptLogsSeen = node.sinceLoad("engine.ckptLogsSeen");
+    r.ckptLatestEntries = node.sinceLoad("engine.ckptLatestEntries");
+    r.hostWriteSectors = node.sinceLoad("ftl.hostWriteSectors");
+    r.hostReadSectors = node.sinceLoad("ftl.hostReadSectors");
+    r.ckptDataTicks = node.sinceLoad("engine.ckptDataTicks");
+    r.ckptMetaTicks = node.sinceLoad("engine.ckptMetaTicks");
+    r.ckptDeleteTicks = node.sinceLoad("engine.ckptDeleteTicks");
     if (r.journalPayloadBytes > 0) {
         r.waf = double(r.nandPrograms) * cfg.nand.pageBytes /
                 double(r.journalPayloadBytes);
@@ -358,9 +268,9 @@ runExperiment(const ExperimentConfig &cfg)
     }
 
     if (want_artifacts) {
-        metrics.importStats(ssd.nand().stats());
-        metrics.importStats(ssd.ftl().stats());
-        metrics.importStats(ssd.stats());
+        metrics.importStats(node.ssd().nand().stats());
+        metrics.importStats(node.ssd().ftl().stats());
+        metrics.importStats(node.ssd().stats());
         metrics.importStats(engine.stats());
         obs::ArtifactWriter writer(cfg.obs.artifactDir,
                                    cfg.obs.runName);

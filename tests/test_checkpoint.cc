@@ -8,67 +8,43 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "sim/sim_context.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
 
-NandConfig
-smallNand()
+EngineConfig
+engineCfg(CheckpointMode mode)
 {
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
+    EngineConfig c;
+    c.mode = mode;
+    c.recordCount = 400;
+    c.journalHalfBytes = 2 * kMiB;
+    c.checkpointJournalBytes = kMiB;
+    c.checkpointInterval = 0;
     return c;
-}
-
-std::uint32_t
-unitFor(CheckpointMode mode)
-{
-    switch (mode) {
-      case CheckpointMode::Baseline:
-      case CheckpointMode::IscA:
-      case CheckpointMode::IscB:
-        return 4096;
-      default:
-        return 512;
-    }
 }
 
 struct Stack
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
+    StorageNode node;
 
     explicit Stack(CheckpointMode mode)
+        : node(ctx, stackConfig(engineCfg(mode)))
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = unitFor(mode);
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.mode = mode;
-        ecfg.recordCount = 400;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointJournalBytes = kMiB;
-        ecfg.checkpointInterval = 0;
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t k) {
+        node.load([](std::uint64_t k) {
             return std::uint32_t(128 * (1 + k % 4));
         });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
+
+    KvEngine &engine() { return kvEngine(node); }
+    const KvEngine &engine() const { return kvEngine(node); }
 
     /** Apply a deterministic update mix and checkpoint twice. */
     void
@@ -80,11 +56,11 @@ struct Stack
                 const std::uint64_t key = rng.nextBounded(400);
                 const auto bytes = std::uint32_t(
                     128 * (1 + rng.nextBounded(8))); // 128..1024
-                engine->update(key, bytes,
-                               [](const QueryResult &) {});
+                engine().update(key, bytes,
+                                [](const QueryResult &) {});
             }
             eq.run();
-            engine->requestCheckpoint();
+            engine().requestCheckpoint();
             eq.run();
         }
     }
@@ -96,7 +72,7 @@ struct Stack
         std::map<std::uint64_t,
                  std::pair<std::uint32_t, std::uint32_t>> m;
         for (std::uint64_t k = 0; k < 400; ++k) {
-            const KeyState &st = engine->keymap()[k];
+            const KeyState &st = engine().keymap()[k];
             m[k] = {st.version, 0};
         }
         return m;
@@ -111,23 +87,23 @@ TEST_P(AllModes, CheckpointPreservesEveryKey)
 {
     Stack s(GetParam());
     s.exercise();
-    EXPECT_FALSE(s.engine->checkpointInProgress());
-    EXPECT_GE(s.engine->checkpointDurations().size(), 2u);
-    EXPECT_EQ(s.engine->verifyAllKeys(), 400u);
+    EXPECT_FALSE(s.engine().checkpointInProgress());
+    EXPECT_GE(s.engine().checkpointDurations().size(), 2u);
+    EXPECT_EQ(s.engine().verifyAllKeys(), 400u);
 }
 
 TEST_P(AllModes, CheckpointMovesKeysToDataArea)
 {
     Stack s(GetParam());
     for (int i = 0; i < 50; ++i)
-        s.engine->update(std::uint64_t(i), 512,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(i), 512,
+                          [](const QueryResult &) {});
     s.eq.run();
-    s.engine->requestCheckpoint();
+    s.engine().requestCheckpoint();
     s.eq.run();
     for (int i = 0; i < 50; ++i)
-        EXPECT_FALSE(s.engine->keymap()[i].inJournal) << i;
-    s.engine->verifyAllKeys();
+        EXPECT_FALSE(s.engine().keymap()[i].inJournal) << i;
+    s.engine().verifyAllKeys();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,10 +154,11 @@ TEST(StrategyCost, RemappingBeatsCopyingBeatsHost)
           CheckpointMode::CheckIn}) {
         Stack s(mode);
         s.exercise();
+        const Ftl &ftl = s.node.ssd().ftl();
         redundant[mode] =
-            s.ssd->ftl().stats().get("ftl.slotWrites.checkpoint") *
-            s.ssd->ftl().mappingUnitBytes();
-        remaps[mode] = s.ssd->ftl().stats().get("ftl.remaps");
+            ftl.stats().get("ftl.slotWrites.checkpoint") *
+            ftl.mappingUnitBytes();
+        remaps[mode] = ftl.stats().get("ftl.remaps");
     }
     // Redundant checkpoint bytes: Baseline >> ISC-C > Check-In.
     EXPECT_GT(redundant[CheckpointMode::Baseline],

@@ -14,14 +14,12 @@
 #include <memory>
 
 #include "engine/checkpoint_policy.h"
-#include "engine/kv_engine.h"
 #include "harness/experiment.h"
 #include "harness/presets.h"
-#include "nand/nand_flash.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
@@ -206,12 +204,6 @@ TEST(AdaptivePolicy, OpenLoopOverloadSweepNeverStallsTheJournal)
  */
 TEST(AdaptivePolicy, PowerCutRecoveryKeepsCommittedUpdates)
 {
-    NandConfig nand;
-    nand.channels = 2;
-    nand.diesPerChannel = 2;
-    nand.blocksPerPlane = 32;
-    nand.pagesPerBlock = 32;
-
     EngineConfig ec;
     ec.mode = CheckpointMode::CheckIn;
     ec.checkpointPolicy = CheckpointPolicyKind::Adaptive;
@@ -225,42 +217,29 @@ TEST(AdaptivePolicy, PowerCutRecoveryKeepsCommittedUpdates)
 
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg;
-    ftl_cfg.mappingUnitBytes = 512;
-    Ssd ssd(ctx, nand, ftl_cfg, SsdConfig{});
-    auto engine = std::make_unique<KvEngine>(ctx, ssd, ec);
-    engine->load([](std::uint64_t) { return 384u; });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    StorageNode node(ctx, stackConfig(ec));
+    node.load([](std::uint64_t) { return 384u; });
 
     Rng rng(5);
     std::map<std::uint64_t, std::uint32_t> committed;
     for (int i = 0; i < 600; ++i) {
         const std::uint64_t key = rng.nextBounded(300);
-        engine->update(key,
-                       std::uint32_t(128 * (1 + rng.nextBounded(4))),
-                       [&committed, key,
-                        &engine](const QueryResult &) {
-                           committed[key] =
-                               engine->keymap()[key].version;
-                       });
+        node.engine().update(
+            key, std::uint32_t(128 * (1 + rng.nextBounded(4))),
+            [&committed, key, &node](const QueryResult &) {
+                committed[key] = kvEngine(node).keymap()[key].version;
+            });
     }
     eq.run();
 
     // Host crash + device power loss with SPOR + firmware rebuild.
-    eq.clear();
-    engine.reset();
-    const auto report = ssd.suddenPowerLoss();
-    EXPECT_GT(report.slotsRecovered, 0u);
-    ssd.ftl().checkInvariants();
-
-    engine = std::make_unique<KvEngine>(ctx, ssd, ec);
-    engine->recover();
+    const PowerCutReport report = node.powerCut();
+    EXPECT_GT(report.rebuild.slotsRecovered, 0u);
     for (const auto &[key, version] : committed) {
-        EXPECT_GE(engine->keymap()[key].version, version)
+        EXPECT_GE(kvEngine(node).keymap()[key].version, version)
             << "lost key " << key;
     }
-    engine->verifyAllKeys();
+    node.engine().verifyAllKeys();
 }
 
 } // namespace

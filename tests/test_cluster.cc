@@ -195,6 +195,41 @@ TEST(Cluster, RoutingInvariantsHold)
     EXPECT_GT(r.simSpan, 0u);
 }
 
+/**
+ * Golden run: per-shard outputs of the 4-shard test config, pinned
+ * across commits. A change that moves them on purpose updates these
+ * constants and says why.
+ */
+TEST(Cluster, GoldenRunIsBitIdentical)
+{
+    struct Pin
+    {
+        std::uint64_t ops, nandReads, nandPrograms, nandErases,
+            journalStalls, checkpoints;
+    };
+    const Pin want[] = {
+        {804, 0, 72, 0, 0, 3},
+        {1353, 0, 104, 0, 0, 3},
+        {1098, 0, 96, 0, 0, 3},
+        {745, 0, 56, 0, 0, 4},
+    };
+    const ClusterResult r = runCluster(testConfig());
+    ASSERT_EQ(r.shards.size(), 4u);
+    for (std::size_t s = 0; s < 4; ++s) {
+        const ShardSummary &got = r.shards[s];
+        EXPECT_EQ(got.ops, want[s].ops) << "shard " << s;
+        EXPECT_EQ(got.nandReads, want[s].nandReads) << "shard " << s;
+        EXPECT_EQ(got.nandPrograms, want[s].nandPrograms)
+            << "shard " << s;
+        EXPECT_EQ(got.nandErases, want[s].nandErases) << "shard " << s;
+        EXPECT_EQ(got.journalStalls, want[s].journalStalls)
+            << "shard " << s;
+        EXPECT_EQ(got.checkpoints, want[s].checkpoints)
+            << "shard " << s;
+    }
+    EXPECT_NEAR(r.shards[2].avgCheckpointMs, 0.2910, 1.0);
+}
+
 TEST(Cluster, CoordinationPoliciesCheckpointEveryShard)
 {
     for (const CkptCoordination policy :

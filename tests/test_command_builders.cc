@@ -16,20 +16,10 @@
 #include "sim/sim_context.h"
 #include "ssd/command.h"
 #include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 1;
-    c.blocksPerPlane = 16;
-    c.pagesPerBlock = 16;
-    return c;
-}
 
 SectorData
 sector(std::uint64_t base)
@@ -165,7 +155,7 @@ TEST(CompletionCallback, SubmissionsNeverFallBackToHeap)
     SimContext ctx;
     FtlConfig fcfg;
     fcfg.mappingUnitBytes = 512;
-    Ssd ssd(ctx, smallNand(), fcfg, SsdConfig{});
+    Ssd ssd(ctx, miniNand(), fcfg, SsdConfig{});
 
     const std::uint64_t before = Ssd::Completion::heapFallbacks();
     std::uint32_t completions = 0;

@@ -7,28 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "sim/sim_context.h"
+#include "test_support.h"
 #include "workload/client.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 EngineConfig
 engineCfg(CheckpointMode mode)
@@ -46,94 +32,86 @@ struct Stack
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-    CheckpointMode mode;
+    StorageNode node;
 
     explicit Stack(CheckpointMode m = CheckpointMode::CheckIn)
-        : mode(m)
+        : node(ctx, stackConfig(engineCfg(m)))
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes =
-            m == CheckpointMode::Baseline ? 4096 : 512;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg(m));
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
+        node.load([](std::uint64_t) { return 256u; });
     }
+
+    KvEngine &engine() { return kvEngine(node); }
 };
 
 TEST(Delete, GetAfterDeleteMisses)
 {
     Stack s;
     bool done = false;
-    s.engine->erase(7, [&](const QueryResult &r) {
+    s.engine().erase(7, [&](const QueryResult &r) {
         EXPECT_TRUE(r.found);
         done = true;
     });
     s.eq.run();
     ASSERT_TRUE(done);
     bool got = true;
-    s.engine->get(7, [&](const QueryResult &r) { got = r.found; });
+    s.engine().get(7, [&](const QueryResult &r) { got = r.found; });
     s.eq.run();
     EXPECT_FALSE(got);
-    EXPECT_EQ(s.engine->stats().get("engine.deletes"), 1u);
-    s.engine->verifyAllKeys();
+    EXPECT_EQ(s.engine().stats().get("engine.deletes"), 1u);
+    s.engine().verifyAllKeys();
 }
 
 TEST(Delete, CheckpointTrimsSlotAndRecordsCatalogDeletion)
 {
     Stack s;
-    s.engine->erase(7, [](const QueryResult &) {});
+    s.engine().erase(7, [](const QueryResult &) {});
     s.eq.run();
-    s.engine->requestCheckpoint();
+    s.engine().requestCheckpoint();
     s.eq.run();
-    EXPECT_FALSE(s.engine->keymap()[7].inJournal);
-    EXPECT_EQ(s.engine->keymap()[7].catalogChunks, 0u);
-    EXPECT_GE(s.engine->stats().get("engine.ckptTombstoneTrims"),
+    EXPECT_FALSE(s.engine().keymap()[7].inJournal);
+    EXPECT_EQ(s.engine().keymap()[7].catalogChunks, 0u);
+    EXPECT_GE(s.engine().stats().get("engine.ckptTombstoneTrims"),
               1u);
     // The data-area slot is gone.
     std::vector<SectorData> buf(1);
-    s.ssd->peek(s.engine->layout().targetLba(7), 1, buf.data());
+    s.node.ssd().peek(s.engine().layout().targetLba(7), 1, buf.data());
     EXPECT_EQ(buf[0], SectorData{});
-    s.engine->verifyAllKeys();
+    s.engine().verifyAllKeys();
 }
 
 TEST(Delete, UpdateAfterDeleteRevives)
 {
     Stack s;
-    s.engine->erase(9, [](const QueryResult &) {});
-    s.engine->update(9, 384, [](const QueryResult &) {});
+    s.engine().erase(9, [](const QueryResult &) {});
+    s.engine().update(9, 384, [](const QueryResult &) {});
     s.eq.run();
     bool got = false;
-    s.engine->get(9, [&](const QueryResult &r) { got = r.found; });
+    s.engine().get(9, [&](const QueryResult &r) { got = r.found; });
     s.eq.run();
     EXPECT_TRUE(got);
-    s.engine->requestCheckpoint();
+    s.engine().requestCheckpoint();
     s.eq.run();
     got = false;
-    s.engine->get(9, [&](const QueryResult &r) { got = r.found; });
+    s.engine().get(9, [&](const QueryResult &r) { got = r.found; });
     s.eq.run();
     EXPECT_TRUE(got);
-    s.engine->verifyAllKeys();
+    s.engine().verifyAllKeys();
 }
 
 TEST(Delete, DeleteAfterUpdateInSameGroupWins)
 {
     Stack s;
-    s.engine->update(5, 256, [](const QueryResult &) {});
-    s.engine->erase(5, [](const QueryResult &) {});
+    s.engine().update(5, 256, [](const QueryResult &) {});
+    s.engine().erase(5, [](const QueryResult &) {});
     s.eq.run();
     bool got = true;
-    s.engine->get(5, [&](const QueryResult &r) { got = r.found; });
+    s.engine().get(5, [&](const QueryResult &r) { got = r.found; });
     s.eq.run();
     EXPECT_FALSE(got);
-    s.engine->requestCheckpoint();
+    s.engine().requestCheckpoint();
     s.eq.run();
     got = true;
-    s.engine->get(5, [&](const QueryResult &r) { got = r.found; });
+    s.engine().get(5, [&](const QueryResult &r) { got = r.found; });
     s.eq.run();
     EXPECT_FALSE(got);
 }
@@ -147,28 +125,24 @@ TEST_P(DeleteRecovery, TombstonesSurviveCrash)
     const bool checkpoint_before_crash = GetParam();
     Stack s;
     for (std::uint64_t k = 10; k < 20; ++k)
-        s.engine->erase(k, [](const QueryResult &) {});
-    s.engine->update(15, 512, [](const QueryResult &) {});
+        s.engine().erase(k, [](const QueryResult &) {});
+    s.engine().update(15, 512, [](const QueryResult &) {});
     s.eq.run();
     if (checkpoint_before_crash) {
-        s.engine->requestCheckpoint();
+        s.engine().requestCheckpoint();
         s.eq.run();
     }
     // Crash + recover.
-    s.eq.clear();
-    s.engine.reset();
-    s.engine = std::make_unique<KvEngine>(s.ctx, *s.ssd,
-                                          engineCfg(s.mode));
-    s.engine->recover();
+    s.node.restartHost();
     for (std::uint64_t k = 10; k < 20; ++k) {
         bool got = true;
-        s.engine->get(k, [&](const QueryResult &r) {
+        s.engine().get(k, [&](const QueryResult &r) {
             got = r.found;
         });
         s.eq.run();
         EXPECT_EQ(got, k == 15) << "key " << k;
     }
-    s.engine->verifyAllKeys();
+    s.engine().verifyAllKeys();
 }
 
 INSTANTIATE_TEST_SUITE_P(CrashPoints, DeleteRecovery,
@@ -179,26 +153,26 @@ TEST(Scan, ReadsLiveRangeAndCountsKeys)
     Stack s;
     std::uint32_t scanned = 0;
     bool found = false;
-    s.engine->scan(100, 20, [&](const QueryResult &r) {
+    s.engine().scan(100, 20, [&](const QueryResult &r) {
         scanned = r.scanned;
         found = r.found;
     });
     s.eq.run();
     EXPECT_TRUE(found);
     EXPECT_EQ(scanned, 20u);
-    EXPECT_EQ(s.engine->stats().get("engine.scans"), 1u);
-    EXPECT_GT(s.engine->stats().get("engine.scanSequentialSectors"),
+    EXPECT_EQ(s.engine().stats().get("engine.scans"), 1u);
+    EXPECT_GT(s.engine().stats().get("engine.scanSequentialSectors"),
               0u);
 }
 
 TEST(Scan, SkipsDeletedKeys)
 {
     Stack s;
-    s.engine->erase(105, [](const QueryResult &) {});
-    s.engine->erase(106, [](const QueryResult &) {});
+    s.engine().erase(105, [](const QueryResult &) {});
+    s.engine().erase(106, [](const QueryResult &) {});
     s.eq.run();
     std::uint32_t scanned = 0;
-    s.engine->scan(100, 10, [&](const QueryResult &r) {
+    s.engine().scan(100, 10, [&](const QueryResult &r) {
         scanned = r.scanned;
     });
     s.eq.run();
@@ -208,12 +182,12 @@ TEST(Scan, SkipsDeletedKeys)
 TEST(Scan, MixesJournalAndDataAreaResidents)
 {
     Stack s;
-    s.engine->update(102, 384, [](const QueryResult &) {});
-    s.engine->update(104, 384, [](const QueryResult &) {});
+    s.engine().update(102, 384, [](const QueryResult &) {});
+    s.engine().update(104, 384, [](const QueryResult &) {});
     s.eq.run();
-    ASSERT_TRUE(s.engine->keymap()[102].inJournal);
+    ASSERT_TRUE(s.engine().keymap()[102].inJournal);
     std::uint32_t scanned = 0;
-    s.engine->scan(100, 8, [&](const QueryResult &r) {
+    s.engine().scan(100, 8, [&](const QueryResult &r) {
         scanned = r.scanned;
     });
     s.eq.run();
@@ -224,7 +198,7 @@ TEST(Scan, ClampedAtKeySpaceEnd)
 {
     Stack s;
     std::uint32_t scanned = 0;
-    s.engine->scan(295, 50, [&](const QueryResult &r) {
+    s.engine().scan(295, 50, [&](const QueryResult &r) {
         scanned = r.scanned;
     });
     s.eq.run();
@@ -235,11 +209,11 @@ TEST(Scan, EmptyRangeCompletes)
 {
     Stack s;
     for (std::uint64_t k = 200; k < 210; ++k)
-        s.engine->erase(k, [](const QueryResult &) {});
+        s.engine().erase(k, [](const QueryResult &) {});
     s.eq.run();
     bool completed = false;
     bool found = true;
-    s.engine->scan(200, 10, [&](const QueryResult &r) {
+    s.engine().scan(200, 10, [&](const QueryResult &r) {
         completed = true;
         found = r.found;
     });
@@ -254,13 +228,13 @@ TEST(WorkloadE, RunsEndToEnd)
     WorkloadSpec spec = WorkloadSpec::e();
     spec.operationCount = 500;
     spec.maxScanLength = 16;
-    ClientPool pool(s.ctx, *s.engine, spec, 8);
+    ClientPool pool(s.ctx, s.engine(), spec, 8);
     pool.start();
     while (!pool.done()) {
         ASSERT_TRUE(s.eq.step()) << "deadlock";
     }
     EXPECT_EQ(pool.stats().opsCompleted, 500u);
-    s.engine->verifyAllKeys();
+    s.engine().verifyAllKeys();
 }
 
 TEST(WorkloadD, LatestDistributionRuns)
@@ -268,7 +242,7 @@ TEST(WorkloadD, LatestDistributionRuns)
     Stack s;
     WorkloadSpec spec = WorkloadSpec::d();
     spec.operationCount = 500;
-    ClientPool pool(s.ctx, *s.engine, spec, 8);
+    ClientPool pool(s.ctx, s.engine(), spec, 8);
     pool.start();
     while (!pool.done()) {
         ASSERT_TRUE(s.eq.step()) << "deadlock";

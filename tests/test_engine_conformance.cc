@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "engine/storage_engine.h"
@@ -21,21 +20,10 @@
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 EngineConfig
 engineCfg(EngineBackend backend)
@@ -51,32 +39,28 @@ engineCfg(EngineBackend backend)
 }
 
 /**
- * Device + engine built through the backend-independent factory;
- * crash() models a full power cut (host RAM gone, device SPOR).
+ * Storage node whose engine is built through the backend-independent
+ * factory; node.powerCut() models a full power cut (host RAM gone,
+ * device SPOR).
  */
 struct ConformanceRig
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<StorageEngine> engine;
-    EngineBackend backend;
+    StorageNode node;
     /** Last version whose commit callback fired, per key. */
     std::map<std::uint64_t, std::uint32_t> committed;
 
-    explicit ConformanceRig(EngineBackend b) : backend(b)
+    explicit ConformanceRig(EngineBackend b)
+        : node(ctx, stackConfig(engineCfg(b)))
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = 512;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = presets::makeEngine(ctx, *ssd, engineCfg(b));
-        engine->load([](std::uint64_t) { return 256u; });
+        node.load([](std::uint64_t) { return 256u; });
         for (std::uint64_t k = 0; k < 200; ++k)
             committed[k] = 1;
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
+
+    StorageEngine &engine() { return node.engine(); }
+    const StorageEngine &engine() const { return node.engine(); }
 
     void
     issueUpdates(int n, Rng &rng)
@@ -85,32 +69,14 @@ struct ConformanceRig
             const std::uint64_t key = rng.nextBounded(200);
             const auto bytes =
                 std::uint32_t(128 * (1 + rng.nextBounded(4)));
-            engine->update(key, bytes,
-                           [this, key](const QueryResult &) {
-                               auto &v = committed[key];
-                               const std::uint32_t got =
-                                   engine->committedVersion(key);
-                               v = std::max(v, got);
-                           });
+            engine().update(key, bytes,
+                            [this, key](const QueryResult &) {
+                                auto &v = committed[key];
+                                const std::uint32_t got =
+                                    engine().committedVersion(key);
+                                v = std::max(v, got);
+                            });
         }
-    }
-
-    /** Power cut: host work and engine RAM die, the device SPORs. */
-    void
-    crash()
-    {
-        eq.clear();
-        engine.reset();
-        ssd->suddenPowerLoss();
-        ssd->ftl().checkInvariants();
-    }
-
-    /** Build a fresh engine over the surviving device and recover. */
-    RecoveryInfo
-    recover()
-    {
-        engine = presets::makeEngine(ctx, *ssd, engineCfg(backend));
-        return engine->recover();
     }
 
     /** No committed update may be lost; content must verify. */
@@ -118,10 +84,10 @@ struct ConformanceRig
     checkDurability() const
     {
         for (const auto &[key, version] : committed) {
-            EXPECT_GE(engine->committedVersion(key), version)
+            EXPECT_GE(engine().committedVersion(key), version)
                 << "lost committed update for key " << key;
         }
-        engine->verifyAllKeys();
+        engine().verifyAllKeys();
     }
 };
 
@@ -137,16 +103,16 @@ class EngineConformance
 TEST_P(EngineConformance, GetServesLatestAcknowledgedUpdate)
 {
     ConformanceRig rig(GetParam());
-    rig.engine->update(7, 1024, [](const QueryResult &) {});
+    rig.engine().update(7, 1024, [](const QueryResult &) {});
     rig.eq.run();
-    EXPECT_EQ(rig.engine->committedVersion(7), 2u);
+    EXPECT_EQ(rig.engine().committedVersion(7), 2u);
 
     bool found = false;
-    rig.engine->get(
+    rig.engine().get(
         7, [&found](const QueryResult &r) { found = r.found; });
     rig.eq.run();
     EXPECT_TRUE(found);
-    EXPECT_EQ(rig.engine->verifyAllKeys(), 200u);
+    EXPECT_EQ(rig.engine().verifyAllKeys(), 200u);
 }
 
 // ---------------------------------------------------------------------
@@ -156,32 +122,32 @@ TEST_P(EngineConformance, GetServesLatestAcknowledgedUpdate)
 TEST_P(EngineConformance, EraseHidesKeyFromGetAndScan)
 {
     ConformanceRig rig(GetParam());
-    rig.engine->erase(10, [](const QueryResult &) {});
+    rig.engine().erase(10, [](const QueryResult &) {});
     rig.eq.run();
 
     bool found = true;
-    rig.engine->get(
+    rig.engine().get(
         10, [&found](const QueryResult &r) { found = r.found; });
     rig.eq.run();
     EXPECT_FALSE(found) << "deleted key still served";
 
     // Keys 8..12: only the erased key 10 must be skipped.
     std::uint32_t scanned = 0;
-    rig.engine->scan(8, 5, [&scanned](const QueryResult &r) {
+    rig.engine().scan(8, 5, [&scanned](const QueryResult &r) {
         scanned = r.scanned;
     });
     rig.eq.run();
     EXPECT_EQ(scanned, 4u);
 
     // Re-inserting resurrects the key at a newer version.
-    rig.engine->update(10, 512, [](const QueryResult &) {});
+    rig.engine().update(10, 512, [](const QueryResult &) {});
     rig.eq.run();
     found = false;
-    rig.engine->get(
+    rig.engine().get(
         10, [&found](const QueryResult &r) { found = r.found; });
     rig.eq.run();
     EXPECT_TRUE(found);
-    rig.engine->verifyAllKeys();
+    rig.engine().verifyAllKeys();
 }
 
 // ---------------------------------------------------------------------
@@ -199,22 +165,21 @@ TEST_P(EngineConformance, BatchAtomicAcrossPowerLossSweep)
         std::vector<StorageEngine::BatchOp> ops{
             {20, 1024}, {21, 512}, {22, 0}};
         bool acked = false;
-        rig.engine->updateBatch(
+        rig.engine().updateBatch(
             ops, [&acked](const QueryResult &) { acked = true; });
         for (int i = 0; i < depth * 5 && rig.eq.step(); ++i) {
         }
-        rig.crash();
-        rig.recover();
-        const bool a20 = rig.engine->committedVersion(20) > 1;
-        const bool a21 = rig.engine->committedVersion(21) > 1;
-        const bool a22 = rig.engine->committedVersion(22) > 1;
+        rig.node.powerCut();
+        const bool a20 = rig.engine().committedVersion(20) > 1;
+        const bool a21 = rig.engine().committedVersion(21) > 1;
+        const bool a22 = rig.engine().committedVersion(22) > 1;
         EXPECT_EQ(a20, a21) << "torn batch at depth " << depth;
         EXPECT_EQ(a20, a22) << "torn batch at depth " << depth;
         if (acked) {
             EXPECT_TRUE(a20)
                 << "acked batch lost at depth " << depth;
         }
-        rig.engine->verifyAllKeys();
+        rig.engine().verifyAllKeys();
     }
 }
 
@@ -230,17 +195,16 @@ TEST_P(EngineConformance, PowerLossLosesNoCommittedUpdate)
     // Partial drain: some committed, some in flight.
     for (int i = 0; i < 400 && rig.eq.step(); ++i) {
     }
-    rig.crash();
-    rig.recover();
+    rig.node.powerCut();
     rig.checkDurability();
 
     // The recovered store keeps serving and flushing.
     rig.issueUpdates(120, rng);
     rig.eq.run();
-    rig.engine->requestCheckpoint();
+    rig.engine().requestCheckpoint();
     rig.eq.run();
     rig.checkDurability();
-    EXPECT_EQ(rig.engine->verifyAllKeys(), 200u);
+    EXPECT_EQ(rig.engine().verifyAllKeys(), 200u);
 }
 
 TEST_P(EngineConformance, RecoverIsIdempotentOnCleanStore)
@@ -249,20 +213,18 @@ TEST_P(EngineConformance, RecoverIsIdempotentOnCleanStore)
     Rng rng(22);
     rig.issueUpdates(200, rng);
     rig.eq.run();
-    rig.crash();
-    rig.recover();
+    rig.node.powerCut();
     rig.checkDurability();
     std::map<std::uint64_t, std::uint32_t> after_first;
     for (std::uint64_t k = 0; k < 200; ++k)
-        after_first[k] = rig.engine->committedVersion(k);
+        after_first[k] = rig.engine().committedVersion(k);
 
     // recover() leaves a clean store: a second crash + recovery has
     // nothing to replay and changes no committed version.
-    rig.crash();
-    const RecoveryInfo second = rig.recover();
+    const RecoveryInfo second = rig.node.powerCut().recovery;
     EXPECT_EQ(second.replayedLogs, 0u);
     for (std::uint64_t k = 0; k < 200; ++k)
-        EXPECT_EQ(rig.engine->committedVersion(k), after_first[k])
+        EXPECT_EQ(rig.engine().committedVersion(k), after_first[k])
             << "second recovery changed key " << k;
     rig.checkDurability();
 }

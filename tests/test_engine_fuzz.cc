@@ -12,11 +12,10 @@
 #include <map>
 #include <memory>
 
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "sim/sim_context.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
@@ -63,55 +62,47 @@ class EngineFuzz : public ::testing::TestWithParam<std::uint64_t>
     void
     SetUp() override
     {
-        mode_ = GetParam() % 2 == 0 ? CheckpointMode::CheckIn
-                                    : CheckpointMode::IscC;
-        FtlConfig ftl_cfg;
-        ftl_cfg.exportedRatio = 0.8;
-        ssd_ = std::make_unique<Ssd>(ctx_, fuzzNand(), ftl_cfg,
-                                     SsdConfig{});
-        engine_ = std::make_unique<KvEngine>(ctx_, *ssd_,
-                                             engineCfg(mode_));
-        engine_->load([](std::uint64_t) { return 256u; });
+        ExperimentConfig cfg;
+        cfg.nand = fuzzNand();
+        cfg.ftl.exportedRatio = 0.8;
+        cfg.engine = engineCfg(GetParam() % 2 == 0
+                                   ? CheckpointMode::CheckIn
+                                   : CheckpointMode::IscC);
+        node_ = std::make_unique<StorageNode>(ctx_, cfg);
+        node_->load([](std::uint64_t) { return 256u; });
         for (std::uint64_t k = 0; k < 200; ++k)
             oracle_.committed[k] = 1;
-        eq_.schedule(ssd_->quiesceTick(), [] {});
-        eq_.run();
     }
+
+    KvEngine &engine() { return kvEngine(*node_); }
 
     void
     noteCommit(std::uint64_t key)
     {
         oracle_.committed[key] = std::max(
-            oracle_.committed[key], engine_->keymap()[key].version);
+            oracle_.committed[key], engine().keymap()[key].version);
     }
 
     void
     crashAndRecover(bool firmware_loss)
     {
-        eq_.clear();
-        engine_.reset();
-        if (firmware_loss) {
-            ssd_->suddenPowerLoss();
-            ssd_->ftl().checkInvariants();
-        }
-        engine_ = std::make_unique<KvEngine>(ctx_, *ssd_,
-                                             engineCfg(mode_));
-        engine_->recover();
+        if (firmware_loss)
+            node_->powerCut();
+        else
+            node_->restartHost();
         // Recovery may surface newer (unacked but durable) versions;
         // committed versions are the floor.
         for (auto &[key, version] : oracle_.committed) {
-            ASSERT_GE(engine_->keymap()[key].version, version)
+            ASSERT_GE(engine().keymap()[key].version, version)
                 << "lost committed update for key " << key;
-            version = engine_->keymap()[key].version;
+            version = engine().keymap()[key].version;
         }
-        engine_->verifyAllKeys();
+        engine().verifyAllKeys();
     }
 
     SimContext ctx_;
     EventQueue &eq_ = ctx_.events();
-    std::unique_ptr<Ssd> ssd_;
-    std::unique_ptr<KvEngine> engine_;
-    CheckpointMode mode_ = CheckpointMode::CheckIn;
+    std::unique_ptr<StorageNode> node_;
     Oracle oracle_;
 };
 
@@ -126,18 +117,18 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
               case 0 ... 39: { // update
                 const auto bytes = std::uint32_t(
                     64 + rng.nextBounded(1984));
-                engine_->update(key, bytes,
+                engine().update(key, bytes,
                                 [this, key](const QueryResult &) {
                                     noteCommit(key);
                                 });
                 break;
               }
               case 40 ... 64: { // get (miss allowed for deleted)
-                engine_->get(key, [](const QueryResult &) {});
+                engine().get(key, [](const QueryResult &) {});
                 break;
               }
               case 65 ... 74: { // rmw
-                engine_->readModifyWrite(
+                engine().readModifyWrite(
                     key, std::uint32_t(128 + rng.nextBounded(512)),
                     [this, key](const QueryResult &) {
                         noteCommit(key);
@@ -145,14 +136,14 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
                 break;
               }
               case 75 ... 82: { // scan
-                engine_->scan(key,
+                engine().scan(key,
                               std::uint32_t(
                                   1 + rng.nextBounded(16)),
                               [](const QueryResult &) {});
                 break;
               }
               case 83 ... 89: { // delete
-                engine_->erase(key,
+                engine().erase(key,
                                [this, key](const QueryResult &) {
                                    noteCommit(key);
                                });
@@ -171,7 +162,7 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
                     std::vector<std::uint64_t>>();
                 for (const auto &op : batch)
                     keys->push_back(op.key);
-                engine_->updateBatch(
+                engine().updateBatch(
                     std::move(batch),
                     [this, keys](const QueryResult &) {
                         for (std::uint64_t k : *keys)
@@ -180,7 +171,7 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
                 break;
               }
               default: { // checkpoint request
-                engine_->requestCheckpoint();
+                engine().requestCheckpoint();
                 break;
               }
             }
@@ -198,16 +189,16 @@ TEST_P(EngineFuzz, RandomLifetimeStaysConsistent)
             crashAndRecover(rng.nextBounded(2) == 0);
         } else {
             eq_.run();
-            engine_->verifyAllKeys();
-            ssd_->ftl().checkInvariants();
+            engine().verifyAllKeys();
+            node_->ssd().ftl().checkInvariants();
         }
     }
     // Final settle + full validation.
     eq_.run();
-    engine_->requestCheckpoint();
+    engine().requestCheckpoint();
     eq_.run();
-    engine_->verifyAllKeys();
-    ssd_->ftl().checkInvariants();
+    engine().verifyAllKeys();
+    node_->ssd().ftl().checkInvariants();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz,

@@ -4,119 +4,25 @@
  *
  * The calendar queue replaced a binary-heap EventQueue whose
  * (tick, seq) dispatch order is the simulator's determinism contract.
- * ReferenceEventQueue below *is* that original implementation
- * (std::priority_queue + std::function); the tests drive both queues
- * through randomized schedule/clear/runUntil interleavings and assert
- * the dispatch sequences digest bit-for-bit equal.
+ * ReferenceEventQueue (reference_event_queue.h) *is* that original
+ * implementation (std::priority_queue + std::function); the tests
+ * drive both queues through randomized schedule/clear/runUntil
+ * interleavings and assert the dispatch sequences digest bit-for-bit
+ * equal.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
+#include "reference_event_queue.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 
 namespace checkin {
 namespace {
-
-/** The pre-calendar binary-heap kernel, kept verbatim as the oracle. */
-class ReferenceEventQueue
-{
-  public:
-    using Callback = std::function<void()>;
-
-    Tick now() const { return now_; }
-
-    void
-    schedule(Tick when, Callback cb)
-    {
-        if (when < now_)
-            when = now_;
-        events_.push(Event{when, nextSeq_++, std::move(cb)});
-    }
-
-    void
-    scheduleAfter(Tick delay, Callback cb)
-    {
-        schedule(now_ + delay, std::move(cb));
-    }
-
-    bool empty() const { return events_.empty(); }
-
-    Tick
-    nextEventTick() const
-    {
-        return events_.empty() ? kInvalidTick : events_.top().when;
-    }
-
-    bool
-    step()
-    {
-        if (events_.empty())
-            return false;
-        Event ev = std::move(const_cast<Event &>(events_.top()));
-        events_.pop();
-        now_ = ev.when;
-        ev.cb();
-        return true;
-    }
-
-    std::uint64_t
-    run()
-    {
-        std::uint64_t n = 0;
-        while (step())
-            ++n;
-        return n;
-    }
-
-    std::uint64_t
-    runUntil(Tick limit)
-    {
-        std::uint64_t n = 0;
-        while (!events_.empty() && events_.top().when <= limit) {
-            step();
-            ++n;
-        }
-        if (now_ < limit && events_.empty())
-            now_ = limit;
-        return n;
-    }
-
-    void
-    clear()
-    {
-        std::priority_queue<Event, std::vector<Event>, Later> empty;
-        events_.swap(empty);
-    }
-
-  private:
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> events_;
-    Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-};
 
 /** FNV-1a over the (tick, payload) dispatch stream. */
 class DispatchDigest

@@ -22,6 +22,7 @@
 #include "sim/rng.h"
 #include "sim/sim_context.h"
 #include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
@@ -35,18 +36,6 @@ tinyNand()
     c.planesPerDie = 1;
     c.blocksPerPlane = 4;
     c.pagesPerBlock = 8;
-    return c;
-}
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 1;
-    c.planesPerDie = 1;
-    c.blocksPerPlane = 16;
-    c.pagesPerBlock = 16;
     return c;
 }
 
@@ -331,7 +320,7 @@ TEST(FtlFaults, ProgramFailRetiresBlockAndRescuesData)
     fc.programFailProb = 1.0;
     fc.maxProgramFails = 1;
     FaultPlan plan(fc, 3);
-    NandFlash nand(smallNand());
+    NandFlash nand(miniNand());
     nand.setFaultPlan(&plan);
     FtlConfig cfg;
     cfg.mappingUnitBytes = 512;
@@ -358,7 +347,7 @@ TEST(FtlFaults, EraseFailDuringGcRetiresVictimBlock)
     fc.eraseFailProb = 1.0;
     fc.maxEraseFails = 1;
     FaultPlan plan(fc, 4);
-    NandFlash nand(smallNand());
+    NandFlash nand(miniNand());
     nand.setFaultPlan(&plan);
     FtlConfig cfg;
     cfg.mappingUnitBytes = 512;
@@ -401,7 +390,7 @@ struct FaultySsd
         // One-page data cache: reads must really sense the NAND so
         // the injected bit errors reach the front end.
         fcfg.dataCacheBytes = 4096;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), fcfg,
+        ssd = std::make_unique<Ssd>(ctx, miniNand(), fcfg,
                                     SsdConfig{});
     }
 
@@ -546,6 +535,60 @@ TEST(CrashOracle, DeterministicAndCleanAcrossRuns)
     EXPECT_EQ(a.lostWrites, b.lostWrites);
     EXPECT_EQ(a.tornRecords, b.tornRecords);
     EXPECT_EQ(a.faultDigest, b.faultDigest);
+}
+
+// ---------------------------------------------------------------------
+// Golden runs: fault-plan and oracle outputs pinned across commits
+// (integers exact, doubles within 1.0). A change that moves them on
+// purpose updates these constants and says why.
+// ---------------------------------------------------------------------
+
+TEST(FaultyPreset, GoldenRunIsBitIdentical)
+{
+    // Baseline mode and 100 k ops, so GC runs and every fault class
+    // the preset enables fires at least once.
+    ExperimentConfig cfg = presets::faulty();
+    cfg.engine.mode = CheckpointMode::Baseline;
+    cfg.workload.operationCount = 100'000;
+    const RunResult r = runExperiment(cfg);
+    EXPECT_EQ(r.raw.at("fault.digest"), 761327256017165341u);
+    EXPECT_EQ(r.raw.at("fault.readRetries"), 24u);
+    EXPECT_EQ(r.raw.at("fault.programFails"), 13u);
+    EXPECT_EQ(r.raw.at("fault.eraseFails"), 1u);
+    EXPECT_EQ(r.raw.at("nand.eraseSkew"), 6u);
+    EXPECT_EQ(r.raw.at("nand.reads"), 32886u);
+    EXPECT_EQ(r.raw.at("nand.programs"), 82644u);
+    EXPECT_EQ(r.raw.at("nand.erases"), 809u);
+    EXPECT_EQ(r.raw.at("gc.pageReads"), 598u);
+    EXPECT_EQ(r.nandReads, 32886u);
+    EXPECT_EQ(r.nandPrograms, 78527u);
+    EXPECT_EQ(r.nandErases, 809u);
+    EXPECT_EQ(r.gcInvocations, 809u);
+    EXPECT_EQ(r.gcMigratedSlots, 624u);
+    EXPECT_EQ(r.checkpoints, 870u);
+    EXPECT_NEAR(r.avgCheckpointMs, 18.5677, 1.0);
+    EXPECT_NEAR(r.throughputOps, 5994.383, 1.0);
+}
+
+TEST(CrashOracle, GoldenCampaignIsBitIdentical)
+{
+    OracleConfig oc;
+    oc.base = presets::faulty();
+    oc.base.engine.recordCount = 200;
+    oc.base.engine.journalHalfBytes = 2 * kMiB;
+    oc.base.engine.checkpointJournalBytes = kMiB;
+    oc.base.nand.blocksPerPlane = 32;
+    oc.base.nand.pagesPerBlock = 32;
+    oc.seed = 11;
+    oc.crashPoints = 8;
+    oc.ops = 300;
+    const OracleReport r = runCrashOracle(oc);
+    EXPECT_EQ(r.crashesRun, 8u);
+    EXPECT_EQ(r.midCheckpointCrashes, 4u);
+    EXPECT_EQ(r.ackedWrites, 829u);
+    EXPECT_EQ(r.faultDigest, 15889715534029644928u);
+    EXPECT_EQ(r.lostWrites, 0u);
+    EXPECT_EQ(r.tornRecords, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -142,8 +142,9 @@ TEST(FlatLru, MatchesReferenceLruUnderRandomOps)
         ASSERT_EQ(flat.size(), ref_list.size());
         ASSERT_EQ(flat.contains(key),
                   ref_index.find(key) != ref_index.end());
-        if (!ref_list.empty())
+        if (!ref_list.empty()) {
             ASSERT_EQ(flat.lruKey(), ref_list.back());
+        }
     }
 }
 

@@ -10,22 +10,10 @@
 
 #include "ftl/ftl.h"
 #include "nand/nand_flash.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 1;
-    c.planesPerDie = 1;
-    c.blocksPerPlane = 16;
-    c.pagesPerBlock = 16;
-    c.pageBytes = 4096;
-    return c;
-}
 
 SectorData
 sector(std::uint64_t base)
@@ -50,7 +38,7 @@ sectors(std::uint64_t base, std::uint32_t n)
 class FtlUnit : public ::testing::TestWithParam<std::uint32_t>
 {
   protected:
-    FtlUnit() : nand_(smallNand())
+    FtlUnit() : nand_(miniNand())
     {
         FtlConfig cfg;
         cfg.mappingUnitBytes = GetParam();
@@ -252,7 +240,7 @@ INSTANTIATE_TEST_SUITE_P(MappingUnits, FtlUnit,
 class FtlGc : public ::testing::Test
 {
   protected:
-    FtlGc() : nand_(smallNand())
+    FtlGc() : nand_(miniNand())
     {
         FtlConfig cfg;
         cfg.mappingUnitBytes = 512;
@@ -322,8 +310,9 @@ TEST_F(FtlGc, BackgroundGcFreesBlocks)
     }
     const std::uint32_t before = ftl_->freeBlocks();
     const std::uint32_t reclaimed = ftl_->runBackgroundGc(0);
-    if (before < 16)
+    if (before < 16) {
         EXPECT_GT(reclaimed, 0u);
+    }
     EXPECT_GE(ftl_->freeBlocks(), before);
 }
 

@@ -7,13 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "engine/host_cache.h"
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
@@ -86,76 +83,74 @@ TEST(HostCache, EraseDropsEntry)
 // Engine integration
 // ---------------------------------------------------------------------
 
+EngineConfig
+engineCfg(std::uint64_t cache_bytes)
+{
+    EngineConfig c;
+    c.recordCount = 300;
+    c.journalHalfBytes = 2 * kMiB;
+    c.checkpointInterval = 0;
+    c.hostCacheBytes = cache_bytes;
+    return c;
+}
+
 struct Stack
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
+    StorageNode node;
 
     explicit Stack(std::uint64_t cache_bytes)
+        : node(ctx, stackConfig(engineCfg(cache_bytes)))
     {
-        NandConfig nand;
-        nand.channels = 2;
-        nand.diesPerChannel = 2;
-        nand.blocksPerPlane = 32;
-        nand.pagesPerBlock = 32;
-        FtlConfig ftl_cfg;
-        ssd = std::make_unique<Ssd>(ctx, nand, ftl_cfg, SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.recordCount = 300;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointInterval = 0;
-        ecfg.hostCacheBytes = cache_bytes;
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
+        node.load([](std::uint64_t) { return 256u; });
     }
+
+    KvEngine &engine() { return kvEngine(node); }
 };
 
 TEST(HostCacheEngine, RepeatGetsHitAndSkipDevice)
 {
     Stack s(64 * kKiB);
     // First GET misses (cold), second hits.
-    s.engine->get(5, [](const QueryResult &) {});
+    s.engine().get(5, [](const QueryResult &) {});
     s.eq.run();
     const std::uint64_t reads_before =
-        s.ssd->stats().get("ssd.cmd.read");
-    s.engine->get(5, [](const QueryResult &) {});
+        s.node.ssd().stats().get("ssd.cmd.read");
+    s.engine().get(5, [](const QueryResult &) {});
     s.eq.run();
-    EXPECT_EQ(s.ssd->stats().get("ssd.cmd.read"), reads_before);
-    EXPECT_GE(s.engine->stats().get("engine.hostCacheHits"), 1u);
+    EXPECT_EQ(s.node.ssd().stats().get("ssd.cmd.read"), reads_before);
+    EXPECT_GE(s.engine().stats().get("engine.hostCacheHits"), 1u);
 }
 
 TEST(HostCacheEngine, UpdateInvalidatesOldVersion)
 {
     Stack s(64 * kKiB);
-    s.engine->get(5, [](const QueryResult &) {});
+    s.engine().get(5, [](const QueryResult &) {});
     s.eq.run();
-    s.engine->update(5, 384, [](const QueryResult &) {});
+    s.engine().update(5, 384, [](const QueryResult &) {});
     s.eq.run();
     // The update commits into the cache, so this GET still hits —
     // but at the *new* version (content verified internally).
     const std::uint64_t hits_before =
-        s.engine->stats().get("engine.hostCacheHits");
+        s.engine().stats().get("engine.hostCacheHits");
     bool found = false;
-    s.engine->get(5, [&](const QueryResult &r) { found = r.found; });
+    s.engine().get(5, [&](const QueryResult &r) { found = r.found; });
     s.eq.run();
     EXPECT_TRUE(found);
-    EXPECT_GT(s.engine->stats().get("engine.hostCacheHits"),
+    EXPECT_GT(s.engine().stats().get("engine.hostCacheHits"),
               hits_before);
 }
 
 TEST(HostCacheEngine, DeleteEvicts)
 {
     Stack s(64 * kKiB);
-    s.engine->get(7, [](const QueryResult &) {});
+    s.engine().get(7, [](const QueryResult &) {});
     s.eq.run();
-    s.engine->erase(7, [](const QueryResult &) {});
+    s.engine().erase(7, [](const QueryResult &) {});
     s.eq.run();
     bool found = true;
-    s.engine->get(7, [&](const QueryResult &r) { found = r.found; });
+    s.engine().get(7, [&](const QueryResult &r) { found = r.found; });
     s.eq.run();
     EXPECT_FALSE(found);
 }
@@ -163,11 +158,11 @@ TEST(HostCacheEngine, DeleteEvicts)
 TEST(HostCacheEngine, CacheLatencyIsHostOnly)
 {
     Stack s(64 * kKiB);
-    s.engine->get(9, [](const QueryResult &) {});
+    s.engine().get(9, [](const QueryResult &) {});
     s.eq.run();
     const Tick start = s.eq.now();
     Tick done = 0;
-    s.engine->get(9, [&](const QueryResult &r) { done = r.done; });
+    s.engine().get(9, [&](const QueryResult &r) { done = r.done; });
     s.eq.run();
     // Hit latency: host CPU only, far below a flash read.
     EXPECT_LT(done - start, 10 * kUsec);
@@ -176,11 +171,11 @@ TEST(HostCacheEngine, CacheLatencyIsHostOnly)
 TEST(HostCacheEngine, DisabledCacheAlwaysReads)
 {
     Stack s(0);
-    s.engine->get(5, [](const QueryResult &) {});
-    s.engine->get(5, [](const QueryResult &) {});
+    s.engine().get(5, [](const QueryResult &) {});
+    s.engine().get(5, [](const QueryResult &) {});
     s.eq.run();
-    EXPECT_EQ(s.engine->stats().get("engine.hostCacheHits"), 0u);
-    EXPECT_GE(s.ssd->stats().get("ssd.cmd.read"), 2u);
+    EXPECT_EQ(s.engine().stats().get("engine.hostCacheHits"), 0u);
+    EXPECT_GE(s.node.ssd().stats().get("ssd.cmd.read"), 2u);
 }
 
 } // namespace

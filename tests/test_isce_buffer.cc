@@ -12,20 +12,10 @@
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
 #include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 1;
-    c.blocksPerPlane = 16;
-    c.pagesPerBlock = 16;
-    return c;
-}
 
 SectorData
 sector(std::uint64_t base)
@@ -44,7 +34,7 @@ class IsceBuffer : public ::testing::Test
         SsdConfig scfg;
         scfg.smallBufferSectors = 8;
         FtlConfig fcfg; // 512 B mapping unit
-        ssd_ = std::make_unique<Ssd>(ctx_, smallNand(), fcfg, scfg);
+        ssd_ = std::make_unique<Ssd>(ctx_, miniNand(), fcfg, scfg);
     }
 
     /** Write one journal sector holding a small (2-chunk) record. */
@@ -207,7 +197,7 @@ TEST_F(IsceBuffer, DisabledBufferCopiesImmediately)
     FtlConfig fcfg;
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    Ssd ssd(ctx, smallNand(), fcfg, scfg);
+    Ssd ssd(ctx, miniNand(), fcfg, scfg);
     ssd.submit(Command::write(0, {sector(5)}, IoCause::Journal),
                [](const CmdResult &) {});
     ssd.submit(Command::checkpointRemap({CowPair::make(

@@ -10,10 +10,9 @@
 #include <map>
 
 #include "engine/journal.h"
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
@@ -112,8 +111,9 @@ TEST(FormatAlignedProperty, FullRecordsAreUnitMultiples)
             else
                 EXPECT_LT(f.chunks, uc);
             // Never smaller than the (compressed) payload.
-            if (bytes <= unit)
+            if (bytes <= unit) {
                 EXPECT_GE(f.chunks * 128u, bytes);
+            }
         }
     }
 }
@@ -122,41 +122,33 @@ TEST(FormatAlignedProperty, FullRecordsAreUnitMultiples)
 // JournalManager behaviour through a real engine stack
 // ---------------------------------------------------------------------
 
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
-
 struct Stack
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
+    StorageNode node;
 
     explicit Stack(CheckpointMode mode, std::uint32_t unit_bytes)
+        : node(ctx, config(mode, unit_bytes))
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = unit_bytes;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
+        node.load([](std::uint64_t) { return 256u; });
+    }
+
+    static ExperimentConfig
+    config(CheckpointMode mode, std::uint32_t unit_bytes)
+    {
         EngineConfig ecfg;
         ecfg.mode = mode;
         ecfg.recordCount = 500;
         ecfg.journalHalfBytes = 2 * kMiB;
         ecfg.checkpointJournalBytes = 1536 * kKiB;
         ecfg.checkpointInterval = 0; // manual checkpoints only
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
+        ExperimentConfig c = stackConfig(ecfg);
+        c.mappingUnitOverride = unit_bytes;
+        return c;
     }
+
+    KvEngine &engine() { return kvEngine(node); }
 };
 
 TEST(JournalManager, CommitsUpdateJmtAndKeymap)
@@ -164,31 +156,31 @@ TEST(JournalManager, CommitsUpdateJmtAndKeymap)
     Stack s(CheckpointMode::CheckIn, 512);
     int committed = 0;
     for (int i = 0; i < 10; ++i) {
-        s.engine->update(std::uint64_t(i), 256,
-                         [&](const QueryResult &r) {
-                             EXPECT_TRUE(r.found);
-                             ++committed;
-                         });
+        s.engine().update(std::uint64_t(i), 256,
+                          [&](const QueryResult &r) {
+                              EXPECT_TRUE(r.found);
+                              ++committed;
+                          });
     }
     s.eq.run();
     EXPECT_EQ(committed, 10);
-    EXPECT_EQ(s.engine->journal().jmtSize(), 10u);
+    EXPECT_EQ(s.engine().journal().jmtSize(), 10u);
     for (int i = 0; i < 10; ++i) {
-        EXPECT_TRUE(s.engine->keymap()[i].inJournal);
-        EXPECT_EQ(s.engine->keymap()[i].version, 2u);
+        EXPECT_TRUE(s.engine().keymap()[i].inJournal);
+        EXPECT_EQ(s.engine().keymap()[i].version, 2u);
     }
-    s.engine->verifyAllKeys();
+    s.engine().verifyAllKeys();
 }
 
 TEST(JournalManager, SameKeyKeepsLatestVersionInJmt)
 {
     Stack s(CheckpointMode::CheckIn, 512);
     for (int i = 0; i < 5; ++i)
-        s.engine->update(7, 200 + i, [](const QueryResult &) {});
+        s.engine().update(7, 200 + i, [](const QueryResult &) {});
     s.eq.run();
-    EXPECT_EQ(s.engine->journal().jmtSize(), 1u);
-    EXPECT_EQ(s.engine->keymap()[7].version, 6u);
-    s.engine->verifyAllKeys();
+    EXPECT_EQ(s.engine().journal().jmtSize(), 1u);
+    EXPECT_EQ(s.engine().keymap()[7].version, 6u);
+    s.engine().verifyAllKeys();
 }
 
 TEST(JournalManager, AlignedModeMergesPartials)
@@ -197,38 +189,38 @@ TEST(JournalManager, AlignedModeMergesPartials)
     // Many 128 B updates in one burst: they arrive while the first
     // flush is in flight and get group-committed + merged.
     for (int i = 0; i < 64; ++i)
-        s.engine->update(std::uint64_t(i), 128,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(i), 128,
+                          [](const QueryResult &) {});
     s.eq.run();
-    EXPECT_GT(s.engine->stats().get("engine.mergedUnits"), 0u);
-    s.engine->verifyAllKeys();
+    EXPECT_GT(s.engine().stats().get("engine.mergedUnits"), 0u);
+    s.engine().verifyAllKeys();
 }
 
 TEST(JournalManager, ConventionalModePacksChunks)
 {
     Stack s(CheckpointMode::Baseline, 4096);
     for (int i = 0; i < 16; ++i)
-        s.engine->update(std::uint64_t(i), 384,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(i), 384,
+                          [](const QueryResult &) {});
     s.eq.run();
     // 16 records x 3 chunks, chunk-packed: exactly 48 chunks stored.
-    EXPECT_EQ(s.engine->stats().get("engine.journalChunksStored"),
+    EXPECT_EQ(s.engine().stats().get("engine.journalChunksStored"),
               48u);
-    EXPECT_EQ(s.engine->stats().get("engine.mergedUnits"), 0u);
-    s.engine->verifyAllKeys();
+    EXPECT_EQ(s.engine().stats().get("engine.mergedUnits"), 0u);
+    s.engine().verifyAllKeys();
 }
 
 TEST(JournalManager, AlignedStoresAtLeastPayload)
 {
     Stack s(CheckpointMode::CheckIn, 512);
     for (int i = 0; i < 32; ++i)
-        s.engine->update(std::uint64_t(i), 300,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(i), 300,
+                          [](const QueryResult &) {});
     s.eq.run();
     const std::uint64_t stored =
-        s.engine->stats().get("engine.journalChunksStored") * 128;
+        s.engine().stats().get("engine.journalChunksStored") * 128;
     const std::uint64_t payload =
-        s.engine->stats().get("engine.journalPayloadBytes");
+        s.engine().stats().get("engine.journalPayloadBytes");
     EXPECT_GE(stored, payload);
     // 300 B buckets to 384 B: overhead 28 %.
     EXPECT_NEAR(double(stored) / double(payload), 384.0 / 300.0,
@@ -239,44 +231,44 @@ TEST(JournalManager, CheckpointSwitchesHalvesAndFreesLogs)
 {
     Stack s(CheckpointMode::CheckIn, 512);
     for (int i = 0; i < 20; ++i)
-        s.engine->update(std::uint64_t(i), 512,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(i), 512,
+                          [](const QueryResult &) {});
     s.eq.run();
-    EXPECT_EQ(s.engine->journal().activeHalf(), 0);
+    EXPECT_EQ(s.engine().journal().activeHalf(), 0);
     const std::uint64_t bytes_before =
-        s.engine->journal().activeJournalBytes();
+        s.engine().journal().activeJournalBytes();
     EXPECT_GT(bytes_before, 0u);
-    s.engine->requestCheckpoint();
+    s.engine().requestCheckpoint();
     s.eq.run();
-    EXPECT_FALSE(s.engine->checkpointInProgress());
-    EXPECT_EQ(s.engine->journal().activeHalf(), 1);
-    EXPECT_EQ(s.engine->journal().jmtSize(), 0u);
-    EXPECT_EQ(s.engine->journal().activeJournalBytes(), 0u);
+    EXPECT_FALSE(s.engine().checkpointInProgress());
+    EXPECT_EQ(s.engine().journal().activeHalf(), 1);
+    EXPECT_EQ(s.engine().journal().jmtSize(), 0u);
+    EXPECT_EQ(s.engine().journal().activeJournalBytes(), 0u);
     // Keys now read from the data area.
     for (int i = 0; i < 20; ++i)
-        EXPECT_FALSE(s.engine->keymap()[i].inJournal);
-    s.engine->verifyAllKeys();
+        EXPECT_FALSE(s.engine().keymap()[i].inJournal);
+    s.engine().verifyAllKeys();
 }
 
 TEST(JournalManager, UpdatesDuringCheckpointLandInNewHalf)
 {
     Stack s(CheckpointMode::Baseline, 4096);
     for (int i = 0; i < 20; ++i)
-        s.engine->update(std::uint64_t(i), 512,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(i), 512,
+                          [](const QueryResult &) {});
     s.eq.run();
-    s.engine->requestCheckpoint();
+    s.engine().requestCheckpoint();
     // Issue more updates while the checkpoint runs.
     for (int i = 0; i < 10; ++i)
-        s.engine->update(std::uint64_t(100 + i), 512,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(100 + i), 512,
+                          [](const QueryResult &) {});
     s.eq.run();
-    EXPECT_FALSE(s.engine->checkpointInProgress());
+    EXPECT_FALSE(s.engine().checkpointInProgress());
     // The new updates live in the new half's JMT.
-    EXPECT_EQ(s.engine->journal().jmtSize(), 10u);
+    EXPECT_EQ(s.engine().journal().jmtSize(), 10u);
     for (int i = 0; i < 10; ++i)
-        EXPECT_TRUE(s.engine->keymap()[100 + i].inJournal);
-    s.engine->verifyAllKeys();
+        EXPECT_TRUE(s.engine().keymap()[100 + i].inJournal);
+    s.engine().verifyAllKeys();
 }
 
 TEST(JournalManager, SpacePressureTriggersCheckpointAndRecovers)
@@ -287,13 +279,13 @@ TEST(JournalManager, SpacePressureTriggersCheckpointAndRecovers)
     int committed = 0;
     const int total = 12'000;
     for (int i = 0; i < total; ++i) {
-        s.engine->update(std::uint64_t(i % 500), 512,
-                         [&](const QueryResult &) { ++committed; });
+        s.engine().update(std::uint64_t(i % 500), 512,
+                          [&](const QueryResult &) { ++committed; });
     }
     s.eq.run();
     EXPECT_EQ(committed, total);
-    EXPECT_GT(s.engine->checkpointDurations().size(), 0u);
-    s.engine->verifyAllKeys();
+    EXPECT_GT(s.engine().checkpointDurations().size(), 0u);
+    s.engine().verifyAllKeys();
 }
 
 } // namespace

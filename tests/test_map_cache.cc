@@ -10,20 +10,10 @@
 
 #include "ftl/ftl.h"
 #include "nand/nand_flash.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 std::unique_ptr<Ftl>
 makeFtl(NandFlash &nand, std::uint64_t map_cache_bytes)

@@ -8,29 +8,17 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <map>
 
-#include "engine/kv_engine.h"
 #include "ftl/ftl.h"
 #include "nand/nand_flash.h"
 #include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "sim/sim_context.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 SectorData
 sectorFor(std::uint64_t tag)
@@ -195,49 +183,31 @@ TEST_P(PowerLossStack, NoCommittedUpdateLostThroughFirmwareRebuild)
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    FtlConfig ftl_cfg;
-    ftl_cfg.mappingUnitBytes =
-        GetParam() == CheckpointMode::Baseline ||
-                GetParam() == CheckpointMode::IscA ||
-                GetParam() == CheckpointMode::IscB
-            ? 4096
-            : 512;
-    Ssd ssd(ctx, smallNand(), ftl_cfg, SsdConfig{});
-    auto engine = std::make_unique<KvEngine>(ctx, ssd, engineCfg());
-    engine->load([](std::uint64_t) { return 384u; });
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
+    StorageNode node(ctx, stackConfig(engineCfg()));
+    node.load([](std::uint64_t) { return 384u; });
 
     Rng rng(5);
     std::map<std::uint64_t, std::uint32_t> committed;
     for (int i = 0; i < 600; ++i) {
         const std::uint64_t key = rng.nextBounded(300);
-        engine->update(key,
-                       std::uint32_t(128 * (1 + rng.nextBounded(4))),
-                       [&committed, key,
-                        &engine](const QueryResult &) {
-                           committed[key] =
-                               engine->keymap()[key].version;
-                       });
+        node.engine().update(
+            key, std::uint32_t(128 * (1 + rng.nextBounded(4))),
+            [&committed, key, &node](const QueryResult &) {
+                committed[key] = kvEngine(node).keymap()[key].version;
+            });
         if (i == 300)
-            engine->requestCheckpoint();
+            node.engine().requestCheckpoint();
     }
     eq.run();
 
     // Host crash + device power loss with SPOR + firmware rebuild.
-    eq.clear();
-    engine.reset();
-    const auto report = ssd.suddenPowerLoss();
-    EXPECT_GT(report.slotsRecovered, 0u);
-    ssd.ftl().checkInvariants();
-
-    engine = std::make_unique<KvEngine>(ctx, ssd, engineCfg());
-    engine->recover();
+    const PowerCutReport report = node.powerCut();
+    EXPECT_GT(report.rebuild.slotsRecovered, 0u);
     for (const auto &[key, version] : committed) {
-        EXPECT_GE(engine->keymap()[key].version, version)
+        EXPECT_GE(kvEngine(node).keymap()[key].version, version)
             << "lost key " << key;
     }
-    engine->verifyAllKeys();
+    node.engine().verifyAllKeys();
 }
 
 INSTANTIATE_TEST_SUITE_P(

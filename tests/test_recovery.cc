@@ -8,28 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
-#include "ssd/ssd.h"
+#include "sim/sim_context.h"
+#include "test_support.h"
 #include "workload/ycsb.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 EngineConfig
 engineCfg(CheckpointMode mode)
@@ -43,40 +30,28 @@ engineCfg(CheckpointMode mode)
     return c;
 }
 
-std::uint32_t
-unitFor(CheckpointMode mode)
-{
-    return mode == CheckpointMode::Baseline ||
-                   mode == CheckpointMode::IscA ||
-                   mode == CheckpointMode::IscB
-               ? 4096
-               : 512;
-}
-
-/** Device + crashed/recovered engines sharing one event queue. */
+/**
+ * Storage node whose host crashes (node.restartHost()): the event
+ * queue and the engine die, the device survives, and a fresh engine
+ * recovers on the same event queue.
+ */
 struct CrashRig
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
-    CheckpointMode mode;
+    StorageNode node;
     /** Last version whose commit callback fired, per key. */
     std::map<std::uint64_t, std::uint32_t> committed;
 
-    explicit CrashRig(CheckpointMode m) : mode(m)
+    explicit CrashRig(CheckpointMode m) : node(ctx, stackConfig(engineCfg(m)))
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes = unitFor(m);
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg(m));
-        engine->load([](std::uint64_t) { return 256u; });
+        node.load([](std::uint64_t) { return 256u; });
         for (std::uint64_t k = 0; k < 300; ++k)
             committed[k] = 1;
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
     }
+
+    KvEngine &engine() { return kvEngine(node); }
+    const KvEngine &engine() const { return kvEngine(node); }
 
     void
     issueUpdates(int n, Rng &rng)
@@ -85,30 +60,14 @@ struct CrashRig
             const std::uint64_t key = rng.nextBounded(300);
             const auto bytes =
                 std::uint32_t(128 * (1 + rng.nextBounded(4)));
-            engine->update(key, bytes,
-                           [this, key](const QueryResult &) {
-                               auto &v = committed[key];
-                               const std::uint32_t got =
-                                   engine->keymap()[key].version;
-                               v = std::max(v, got);
-                           });
+            engine().update(key, bytes,
+                            [this, key](const QueryResult &) {
+                                auto &v = committed[key];
+                                const std::uint32_t got =
+                                    engine().keymap()[key].version;
+                                v = std::max(v, got);
+                            });
         }
-    }
-
-    /** Power cut: drop all host work, discard the engine. */
-    void
-    crash()
-    {
-        eq.clear();
-        engine.reset();
-    }
-
-    /** Build a fresh engine over the surviving device and recover. */
-    RecoveryInfo
-    recover()
-    {
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg(mode));
-        return engine->recover();
     }
 
     /** No committed update may be lost; content must verify. */
@@ -116,10 +75,10 @@ struct CrashRig
     checkDurability() const
     {
         for (const auto &[key, version] : committed) {
-            EXPECT_GE(engine->keymap()[key].version, version)
+            EXPECT_GE(engine().keymap()[key].version, version)
                 << "lost committed update for key " << key;
         }
-        engine->verifyAllKeys();
+        engine().verifyAllKeys();
     }
 };
 
@@ -134,8 +93,7 @@ TEST_P(RecoveryAllModes, CleanJournalReplay)
     Rng rng(1);
     rig.issueUpdates(400, rng);
     rig.eq.run(); // everything committed, no checkpoint yet
-    rig.crash();
-    const RecoveryInfo info = rig.recover();
+    const RecoveryInfo info = rig.node.restartHost();
     EXPECT_GT(info.replayedLogs, 0u);
     EXPECT_EQ(info.catalogKeys, 300u);
     rig.checkDurability();
@@ -150,8 +108,7 @@ TEST_P(RecoveryAllModes, CrashMidWorkloadLosesNoCommit)
     // some in flight, some still buffered.
     for (int i = 0; i < 200 && rig.eq.step(); ++i) {
     }
-    rig.crash();
-    rig.recover();
+    rig.node.restartHost();
     rig.checkDurability();
 }
 
@@ -161,14 +118,13 @@ TEST_P(RecoveryAllModes, CrashDuringCheckpoint)
     Rng rng(3);
     rig.issueUpdates(500, rng);
     rig.eq.run();
-    rig.engine->requestCheckpoint();
+    rig.engine().requestCheckpoint();
     // More traffic while the checkpoint runs, then cut power while
     // both the checkpoint and the new updates are in flight.
     rig.issueUpdates(200, rng);
     for (int i = 0; i < 50 && rig.eq.step(); ++i) {
     }
-    rig.crash();
-    rig.recover();
+    rig.node.restartHost();
     rig.checkDurability();
 }
 
@@ -178,10 +134,9 @@ TEST_P(RecoveryAllModes, CrashAfterCheckpointBeforeMoreUpdates)
     Rng rng(4);
     rig.issueUpdates(300, rng);
     rig.eq.run();
-    rig.engine->requestCheckpoint();
+    rig.engine().requestCheckpoint();
     rig.eq.run();
-    rig.crash();
-    const RecoveryInfo info = rig.recover();
+    const RecoveryInfo info = rig.node.restartHost();
     // Everything was checkpointed: no logs to replay.
     EXPECT_EQ(info.replayedLogs, 0u);
     rig.checkDurability();
@@ -194,15 +149,14 @@ TEST_P(RecoveryAllModes, RecoveredStoreKeepsServing)
     rig.issueUpdates(400, rng);
     for (int i = 0; i < 300 && rig.eq.step(); ++i) {
     }
-    rig.crash();
-    rig.recover();
+    rig.node.restartHost();
     // The recovered store must accept and persist new work.
     rig.issueUpdates(200, rng);
     rig.eq.run();
-    rig.engine->requestCheckpoint();
+    rig.engine().requestCheckpoint();
     rig.eq.run();
     rig.checkDurability();
-    EXPECT_EQ(rig.engine->verifyAllKeys(), 300u);
+    EXPECT_EQ(rig.engine().verifyAllKeys(), 300u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -232,13 +186,12 @@ TEST_P(CrashPointSweep, NoCommittedUpdateLost)
     Rng rng(std::uint64_t(GetParam()) * 977 + 5);
     rig.issueUpdates(300, rng);
     if (GetParam() % 3 == 1)
-        rig.engine->requestCheckpoint();
+        rig.engine().requestCheckpoint();
     rig.issueUpdates(300, rng);
     const int steps = GetParam() * 37;
     for (int i = 0; i < steps && rig.eq.step(); ++i) {
     }
-    rig.crash();
-    const RecoveryInfo info = rig.recover();
+    const RecoveryInfo info = rig.node.restartHost();
     (void)info;
     rig.checkDurability();
 }

@@ -11,20 +11,10 @@
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
 #include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 1;
-    c.blocksPerPlane = 16;
-    c.pagesPerBlock = 16;
-    return c;
-}
 
 SectorData
 sector(std::uint64_t base)
@@ -51,7 +41,7 @@ class SsdTest : public ::testing::Test
     {
         FtlConfig ftl_cfg;
         ftl_cfg.mappingUnitBytes = 512;
-        ssd_ = std::make_unique<Ssd>(ctx_, smallNand(), ftl_cfg,
+        ssd_ = std::make_unique<Ssd>(ctx_, miniNand(), ftl_cfg,
                                      SsdConfig{});
     }
 
@@ -213,7 +203,7 @@ TEST_F(SsdTest, ReadLatencyExceedsFlashRead)
     ftl_cfg.dataCacheBytes = 0;
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    Ssd ssd(ctx, smallNand(), ftl_cfg, SsdConfig{});
+    Ssd ssd(ctx, miniNand(), ftl_cfg, SsdConfig{});
     ssd.submit(Command::write(0, sectors(1, 1), IoCause::Query),
                [](const CmdResult &) {});
     eq.run();
@@ -225,7 +215,7 @@ TEST_F(SsdTest, ReadLatencyExceedsFlashRead)
     Tick done = 0;
     ssd.submit(Command::read(0, 1), [&](const CmdResult &r) { done = r.require(); });
     eq.run();
-    EXPECT_GE(done - start, smallNand().readLatency);
+    EXPECT_GE(done - start, miniNand().readLatency);
 }
 
 TEST_F(SsdTest, DataCacheServesRecentWrites)
@@ -251,7 +241,7 @@ TEST_F(SsdTest, WriteBackpressureKicksInUnderBurst)
     FtlConfig ftl_cfg;
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    Ssd ssd(ctx, smallNand(), ftl_cfg, cfg);
+    Ssd ssd(ctx, miniNand(), ftl_cfg, cfg);
     Tick last = 0;
     for (int i = 0; i < 64; ++i) {
         ssd.submit(Command::write(Lba(i) * 8, sectors(i, 8),
@@ -264,7 +254,7 @@ TEST_F(SsdTest, WriteBackpressureKicksInUnderBurst)
     // With only 4 buffer pages, the later acks must wait for program
     // drains: total time approaches the flash program rate.
     EXPECT_GT(ssd.stats().get("ssd.writeStalls"), 0u);
-    EXPECT_GT(last, smallNand().programLatency);
+    EXPECT_GT(last, miniNand().programLatency);
 }
 
 TEST_F(SsdTest, CommandStatsTracked)

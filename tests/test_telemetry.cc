@@ -17,15 +17,14 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "fault/fault_plan.h"
 #include "harness/experiment.h"
+#include "harness/node.h"
 #include "harness/presets.h"
 #include "harness/sweep.h"
 #include "obs/json_parse.h"
 #include "obs/telemetry.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
 
 namespace checkin {
 namespace {
@@ -285,27 +284,16 @@ powerCutBlackbox()
     ctx.setTelemetry(&telem);
     SimContextScope scope(ctx);
 
-    FaultPlan plan(FaultConfig{},
-                   ctx.deriveSeed(FaultPlan::kSeedStream));
-    ctx.setFaults(&plan);
-
-    FtlConfig ftl_cfg = cfg.ftl;
-    ftl_cfg.mappingUnitBytes = cfg.resolvedMappingUnit();
-    Ssd ssd(ctx, cfg.nand, ftl_cfg, cfg.ssd);
-    std::unique_ptr<StorageEngine> engine =
-        presets::makeEngine(ctx, ssd, cfg.engine);
-    engine->load([](std::uint64_t) { return std::uint32_t(256); });
-
+    StorageNode node(ctx, cfg);
+    node.load([](std::uint64_t) { return std::uint32_t(256); });
     EventQueue &eq = ctx.events();
-    eq.schedule(ssd.quiesceTick(), [] {});
-    eq.run();
     const Tick load_end = eq.now();
 
     telem.begin(eq);
-    engine->start();
+    node.engine().start();
 
     // Paced updates plus one forced checkpoint partway through.
-    StorageEngine *eng = engine.get();
+    StorageEngine *eng = &node.engine();
     for (std::uint32_t i = 0; i < 300; ++i) {
         const std::uint64_t key = i % cfg.engine.recordCount;
         const Tick at = load_end + Tick(i + 1) * (50 * kUsec);
@@ -330,7 +318,7 @@ powerCutBlackbox()
     // box. The engine object stays alive (its probes are sampled by
     // finalize) but never runs again.
     eq.clear();
-    ssd.suddenPowerLoss();
+    node.ssd().suddenPowerLoss();
     telem.finalize(cut);
 
     EXPECT_GE(telem.anomalyCount(), 1u);

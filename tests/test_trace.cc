@@ -7,28 +7,15 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
 
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
-#include "ssd/ssd.h"
+#include "test_support.h"
 #include "workload/trace.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 TEST(Trace, SaveLoadRoundTrip)
 {
@@ -81,31 +68,32 @@ TEST(Trace, GenerateIsDeterministic)
                 Trace::generate(spec, 300, 200));
 }
 
+EngineConfig
+engineCfg(CheckpointMode mode)
+{
+    EngineConfig c;
+    c.mode = mode;
+    c.recordCount = 300;
+    c.journalHalfBytes = 2 * kMiB;
+    c.checkpointJournalBytes = kMiB;
+    c.checkpointInterval = 0;
+    return c;
+}
+
 struct Stack
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
+    StorageNode node;
 
     explicit Stack(CheckpointMode mode)
+        : node(ctx, stackConfig(engineCfg(mode)))
     {
-        FtlConfig ftl_cfg;
-        ftl_cfg.mappingUnitBytes =
-            mode == CheckpointMode::Baseline ? 4096 : 512;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        EngineConfig ecfg;
-        ecfg.mode = mode;
-        ecfg.recordCount = 300;
-        ecfg.journalHalfBytes = 2 * kMiB;
-        ecfg.checkpointJournalBytes = kMiB;
-        ecfg.checkpointInterval = 0;
-        engine = std::make_unique<KvEngine>(ctx, *ssd, ecfg);
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
+        node.load([](std::uint64_t) { return 256u; });
     }
+
+    KvEngine &engine() { return kvEngine(node); }
+    const KvEngine &engine() const { return kvEngine(node); }
 
     /** Final committed version per key. */
     std::vector<std::uint32_t>
@@ -113,7 +101,7 @@ struct Stack
     {
         std::vector<std::uint32_t> v(300);
         for (std::uint64_t k = 0; k < 300; ++k)
-            v[k] = engine->keymap()[k].version;
+            v[k] = engine().keymap()[k].version;
         return v;
     }
 };
@@ -123,13 +111,13 @@ TEST(TraceReplay, CompletesEveryOperation)
     Stack s(CheckpointMode::CheckIn);
     WorkloadSpec spec = WorkloadSpec::a();
     const Trace t = Trace::generate(spec, 300, 800);
-    TraceReplayer replay(s.ctx, *s.engine, t, 16);
+    TraceReplayer replay(s.ctx, s.engine(), t, 16);
     replay.start();
     while (!replay.done()) {
         ASSERT_TRUE(s.eq.step()) << "deadlock during replay";
     }
     EXPECT_EQ(replay.completed(), 800u);
-    s.engine->verifyAllKeys();
+    s.engine().verifyAllKeys();
 }
 
 TEST(TraceReplay, SameTraceSameFinalStateAcrossModes)
@@ -142,11 +130,11 @@ TEST(TraceReplay, SameTraceSameFinalStateAcrossModes)
          {CheckpointMode::Baseline, CheckpointMode::IscC,
           CheckpointMode::CheckIn}) {
         Stack s(mode);
-        TraceReplayer replay(s.ctx, *s.engine, t, 8);
+        TraceReplayer replay(s.ctx, s.engine(), t, 8);
         replay.start();
         while (!replay.done())
             ASSERT_TRUE(s.eq.step());
-        s.engine->requestCheckpoint();
+        s.engine().requestCheckpoint();
         s.eq.run();
         const auto versions = s.versions();
         if (reference.empty())
@@ -154,7 +142,7 @@ TEST(TraceReplay, SameTraceSameFinalStateAcrossModes)
         else
             EXPECT_EQ(versions, reference)
                 << "mode " << int(mode) << " diverged";
-        s.engine->verifyAllKeys();
+        s.engine().verifyAllKeys();
     }
 }
 
@@ -167,12 +155,12 @@ TEST(TraceReplay, HandlesDeletesInTrace)
     t.add({OpType::Delete, 10, 0, 0});
     t.add({OpType::Read, 10, 0, 0});
     t.add({OpType::Scan, 5, 0, 10});
-    TraceReplayer replay(s.ctx, *s.engine, t, 1);
+    TraceReplayer replay(s.ctx, s.engine(), t, 1);
     replay.start();
     while (!replay.done())
         ASSERT_TRUE(s.eq.step());
-    EXPECT_EQ(s.engine->keymap()[10].storedChunks, 0u);
-    s.engine->verifyAllKeys();
+    EXPECT_EQ(s.engine().keymap()[10].storedChunks, 0u);
+    s.engine().verifyAllKeys();
 }
 
 } // namespace

@@ -6,28 +6,14 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "engine/kv_engine.h"
 #include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
+#include "sim/sim_context.h"
 #include "sim/timeseries.h"
-#include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 2;
-    c.blocksPerPlane = 32;
-    c.pagesPerBlock = 32;
-    return c;
-}
 
 EngineConfig
 engineCfg()
@@ -45,39 +31,34 @@ struct Stack
 {
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    std::unique_ptr<Ssd> ssd;
-    std::unique_ptr<KvEngine> engine;
+    StorageNode node;
 
-    Stack()
+    Stack() : node(ctx, stackConfig(engineCfg()))
     {
-        FtlConfig ftl_cfg;
-        ssd = std::make_unique<Ssd>(ctx, smallNand(), ftl_cfg,
-                                    SsdConfig{});
-        engine = std::make_unique<KvEngine>(ctx, *ssd, engineCfg());
-        engine->load([](std::uint64_t) { return 256u; });
-        eq.schedule(ssd->quiesceTick(), [] {});
-        eq.run();
+        node.load([](std::uint64_t) { return 256u; });
     }
+
+    KvEngine &engine() { return kvEngine(node); }
 };
 
 TEST(Transactions, BatchCommitsAllKeys)
 {
     Stack s;
     bool done = false;
-    s.engine->updateBatch({{1, 256}, {2, 384}, {3, 0}, {4, 512}},
-                          [&](const QueryResult &r) {
-                              EXPECT_TRUE(r.found);
-                              done = true;
-                          });
+    s.engine().updateBatch({{1, 256}, {2, 384}, {3, 0}, {4, 512}},
+                           [&](const QueryResult &r) {
+                               EXPECT_TRUE(r.found);
+                               done = true;
+                           });
     s.eq.run();
     ASSERT_TRUE(done);
-    EXPECT_EQ(s.engine->keymap()[1].version, 2u);
-    EXPECT_EQ(s.engine->keymap()[2].version, 2u);
-    EXPECT_EQ(s.engine->keymap()[3].storedChunks, 0u); // deleted
-    EXPECT_EQ(s.engine->keymap()[4].version, 2u);
-    EXPECT_EQ(s.engine->stats().get("engine.transactions"), 1u);
-    EXPECT_EQ(s.engine->stats().get("engine.batchCommits"), 1u);
-    s.engine->verifyAllKeys();
+    EXPECT_EQ(s.engine().keymap()[1].version, 2u);
+    EXPECT_EQ(s.engine().keymap()[2].version, 2u);
+    EXPECT_EQ(s.engine().keymap()[3].storedChunks, 0u); // deleted
+    EXPECT_EQ(s.engine().keymap()[4].version, 2u);
+    EXPECT_EQ(s.engine().stats().get("engine.transactions"), 1u);
+    EXPECT_EQ(s.engine().stats().get("engine.batchCommits"), 1u);
+    s.engine().verifyAllKeys();
 }
 
 TEST(Transactions, AtomicAcrossCrash)
@@ -91,28 +72,24 @@ TEST(Transactions, AtomicAcrossCrash)
             std::vector<KvEngine::BatchOp> ops;
             for (std::uint64_t k = 0; k < 5; ++k)
                 ops.push_back({std::uint64_t(t) * 10 + k, 256});
-            s.engine->updateBatch(std::move(ops),
-                                  [](const QueryResult &) {});
+            s.engine().updateBatch(std::move(ops),
+                                   [](const QueryResult &) {});
         }
         for (int i = 0; i < steps && s.eq.step(); ++i) {
         }
-        s.eq.clear();
-        s.engine.reset();
-        s.engine = std::make_unique<KvEngine>(s.ctx, *s.ssd,
-                                              engineCfg());
-        s.engine->recover();
+        s.node.restartHost();
         for (int t = 0; t < 3; ++t) {
             const std::uint32_t v0 =
-                s.engine->keymap()[std::uint64_t(t) * 10].version;
+                s.engine().keymap()[std::uint64_t(t) * 10].version;
             for (std::uint64_t k = 1; k < 5; ++k) {
                 EXPECT_EQ(
-                    s.engine->keymap()[std::uint64_t(t) * 10 + k]
+                    s.engine().keymap()[std::uint64_t(t) * 10 + k]
                         .version,
                     v0)
                     << "txn " << t << " split at steps=" << steps;
             }
         }
-        s.engine->verifyAllKeys();
+        s.engine().verifyAllKeys();
     }
 }
 
@@ -122,17 +99,17 @@ TEST(Transactions, NeverSplitAcrossGroupBoundary)
     // Fill the buffer close to the group bound (256), then append a
     // batch that would straddle it.
     for (int i = 0; i < 250; ++i)
-        s.engine->update(std::uint64_t(i % 300), 128,
-                         [](const QueryResult &) {});
+        s.engine().update(std::uint64_t(i % 300), 128,
+                          [](const QueryResult &) {});
     std::vector<KvEngine::BatchOp> ops;
     for (std::uint64_t k = 0; k < 20; ++k)
         ops.push_back({k, 128});
     bool done = false;
-    s.engine->updateBatch(std::move(ops),
-                          [&](const QueryResult &) { done = true; });
+    s.engine().updateBatch(std::move(ops),
+                           [&](const QueryResult &) { done = true; });
     s.eq.run();
     EXPECT_TRUE(done);
-    s.engine->verifyAllKeys();
+    s.engine().verifyAllKeys();
 }
 
 TEST(Transactions, OversizedBatchRejected)
@@ -141,7 +118,7 @@ TEST(Transactions, OversizedBatchRejected)
     std::vector<KvEngine::BatchOp> ops;
     for (std::uint64_t k = 0; k < 300; ++k)
         ops.push_back({k, 128});
-    s.engine->updateBatch(std::move(ops), [](const QueryResult &) {});
+    s.engine().updateBatch(std::move(ops), [](const QueryResult &) {});
     EXPECT_THROW(s.eq.run(), std::invalid_argument);
 }
 

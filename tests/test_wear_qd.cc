@@ -10,23 +10,13 @@
 #include "ftl/ftl.h"
 #include "nand/nand_flash.h"
 #include "sim/event_queue.h"
-#include "sim/sim_context.h"
 #include "sim/rng.h"
+#include "sim/sim_context.h"
 #include "ssd/ssd.h"
+#include "test_support.h"
 
 namespace checkin {
 namespace {
-
-NandConfig
-smallNand()
-{
-    NandConfig c;
-    c.channels = 2;
-    c.diesPerChannel = 1;
-    c.blocksPerPlane = 16;
-    c.pagesPerBlock = 16;
-    return c;
-}
 
 SectorData
 sectorFor(std::uint64_t tag)
@@ -39,7 +29,7 @@ sectorFor(std::uint64_t tag)
 
 TEST(WearLevel, ColdBlocksGetRelocated)
 {
-    NandFlash nand(smallNand());
+    NandFlash nand(miniNand());
     FtlConfig cfg;
     cfg.exportedRatio = 0.7;
     cfg.gcLowWaterBlocks = 3;
@@ -82,7 +72,7 @@ TEST(WearLevel, ColdBlocksGetRelocated)
 
 TEST(WearLevel, DisabledWhenThresholdZero)
 {
-    NandFlash nand(smallNand());
+    NandFlash nand(miniNand());
     FtlConfig cfg;
     cfg.exportedRatio = 0.7;
     cfg.wearLevelThreshold = 0;
@@ -105,7 +95,7 @@ TEST(QueueDepth, AdmissionStallsBeyondDepth)
     fcfg.dataCacheBytes = 0; // make reads slow (flash-bound)
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    Ssd ssd(ctx, smallNand(), fcfg, scfg);
+    Ssd ssd(ctx, miniNand(), fcfg, scfg);
     // Populate then flush so reads touch flash.
     std::vector<SectorData> payload(8);
     for (int i = 0; i < 8; ++i)
@@ -130,7 +120,7 @@ TEST(QueueDepth, DeepQueueDoesNotStallLightLoad)
     FtlConfig fcfg;
     SimContext ctx;
     EventQueue &eq = ctx.events();
-    Ssd ssd(ctx, smallNand(), fcfg, scfg);
+    Ssd ssd(ctx, miniNand(), fcfg, scfg);
     for (int i = 0; i < 32; ++i) {
         ssd.submit(Command::write(Lba(i), {sectorFor(1)},
                                   IoCause::Query),
