@@ -98,22 +98,16 @@ ShardNode::execute(const Message &m)
     const Tick arrival = ctx_.now();
     const obs::OpToken tok =
         obs::attrBeginOp(opAttrClass(m.op), arrival);
-    auto cb = [this, m, arrival, tok](const QueryResult &res) {
-        obs::attrFinishOp(tok, res.done);
-        ++ops_;
-        if (m.op == WorkloadGenerator::OpType::Update ||
-            m.op == WorkloadGenerator::OpType::Rmw) {
-            bytes_ += m.valueBytes;
-        }
-        service_.record(res.done > arrival ? res.done - arrival : 0);
-        Message resp = m;
-        resp.kind = Message::Kind::Response;
-        resp.dst = 0; // the router
-        resp.deliverTick = res.done + responseLatency_;
-        resp.found = res.found;
-        resp.scanned = res.scanned;
-        resp.duringCheckpoint = res.duringCheckpoint;
-        send(resp);
+    std::uint32_t slot = freeSlot_;
+    if (slot != kNoSlot) {
+        freeSlot_ = inflight_[slot].nextFree;
+    } else {
+        slot = std::uint32_t(inflight_.size());
+        inflight_.emplace_back();
+    }
+    inflight_[slot] = InFlight{m, arrival, tok};
+    auto cb = [this, slot](const QueryResult &res) {
+        complete(slot, res);
     };
     obs::AttrOpScope attr_scope(tok);
     switch (m.op) {
@@ -134,6 +128,30 @@ ShardNode::execute(const Message &m)
         engine().erase(m.key, std::move(cb));
         break;
     }
+}
+
+void
+ShardNode::complete(std::uint32_t slot, const QueryResult &res)
+{
+    const InFlight f = inflight_[slot];
+    inflight_[slot].nextFree = freeSlot_;
+    freeSlot_ = slot;
+    const Message &m = f.request;
+    obs::attrFinishOp(f.tok, res.done);
+    ++ops_;
+    if (m.op == WorkloadGenerator::OpType::Update ||
+        m.op == WorkloadGenerator::OpType::Rmw) {
+        bytes_ += m.valueBytes;
+    }
+    service_.record(res.done > f.arrival ? res.done - f.arrival : 0);
+    Message resp = m;
+    resp.kind = Message::Kind::Response;
+    resp.dst = 0; // the router
+    resp.deliverTick = res.done + responseLatency_;
+    resp.found = res.found;
+    resp.scanned = res.scanned;
+    resp.duringCheckpoint = res.duringCheckpoint;
+    send(resp);
 }
 
 void

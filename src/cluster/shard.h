@@ -95,7 +95,21 @@ class ShardNode : public ClusterNode
     void onMessage(const Message &m) override;
 
   private:
+    /** A request inside the engine. Pooled, so the engine
+     *  continuation captures only {this, slot}, which std::function
+     *  stores without allocating. */
+    struct InFlight
+    {
+        Message request;
+        Tick arrival = 0;
+        obs::OpToken tok = obs::kNoOpToken;
+        std::uint32_t nextFree = 0; //!< free-list link when unused
+    };
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
     void execute(const Message &m);
+    /** The engine completed the request in slot @p slot. */
+    void complete(std::uint32_t slot, const QueryResult &res);
 
     std::uint32_t shard_;
     ExperimentConfig cfg_;
@@ -108,6 +122,9 @@ class ShardNode : public ClusterNode
     /** Per-shard sampler, driven by this shard's own event queue so
      *  merged artifacts are independent of synchronizer threading. */
     obs::TelemetrySampler telem_;
+
+    std::vector<InFlight> inflight_;
+    std::uint32_t freeSlot_ = kNoSlot;
 
     // Measured-run accumulation.
     std::uint64_t ops_ = 0;

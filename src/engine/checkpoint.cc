@@ -112,7 +112,7 @@ HostCheckpoint::run(const std::vector<JmtEntry> &entries, DoneCb done)
                 self->layout_.targetLba(e.key),
                 std::move((*payloads)[i]), IoCause::Checkpoint,
                 e.version);
-            self->stats_.add("engine.ckptHostWriteSectors", w.nsect);
+            self->sHostWriteSectors_.add(w.nsect);
             self->ssd_.submit(std::move(w),
                               [wjob](const CmdResult &r) {
                                   wjob->complete(r);
@@ -136,7 +136,7 @@ HostCheckpoint::run(const std::vector<JmtEntry> &entries, DoneCb done)
         payloads->push_back(std::move(dst));
         Command r = Command::read(p.src, p.srcSectors(),
                                   IoCause::Checkpoint);
-        stats_.add("engine.ckptHostReadSectors", r.nsect);
+        sHostReadSectors_.add(r.nsect);
         ssd_.submit(std::move(r), [job](const CmdResult &res) {
             job->complete(res);
         });
@@ -155,7 +155,7 @@ SingleCowCheckpoint::run(const std::vector<JmtEntry> &entries,
     job->outstanding = entries.size();
     job->done = std::move(done);
     for (const JmtEntry &e : entries) {
-        stats_.add("engine.ckptCowCommands");
+        sCowCommands_.add();
         ssd_.submit(Command::cowSingle(pairFor(e)),
                     [job](const CmdResult &r) { job->complete(r); });
     }
@@ -184,7 +184,7 @@ MultiCowCheckpoint::run(const std::vector<JmtEntry> &entries,
     }
     job->outstanding = cmds.size();
     for (Command &c : cmds) {
-        stats_.add("engine.ckptCowCommands");
+        sCowCommands_.add();
         ssd_.submit(std::move(c),
                     [job](const CmdResult &r) { job->complete(r); });
     }
@@ -212,7 +212,7 @@ RemapCheckpoint::run(const std::vector<JmtEntry> &entries, DoneCb done)
     }
     job->outstanding = cmds.size();
     for (Command &c : cmds) {
-        stats_.add("engine.ckptRemapCommands");
+        sRemapCommands_.add();
         ssd_.submit(std::move(c),
                     [job](const CmdResult &r) { job->complete(r); });
     }

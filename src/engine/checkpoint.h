@@ -60,6 +60,13 @@ class CheckpointStrategy
     const DiskLayout &layout_;
     const EngineConfig &cfg_;
     StatRegistry &stats_;
+
+    // Per-entry and per-command counters, interned on their first add.
+    StatHandle sHostReadSectors_{stats_, "engine.ckptHostReadSectors"};
+    StatHandle sHostWriteSectors_{stats_,
+                                  "engine.ckptHostWriteSectors"};
+    StatHandle sCowCommands_{stats_, "engine.ckptCowCommands"};
+    StatHandle sRemapCommands_{stats_, "engine.ckptRemapCommands"};
 };
 
 /** Baseline: the host reads journal logs and rewrites the data area. */

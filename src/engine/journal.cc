@@ -119,7 +119,7 @@ JournalManager::appendBatch(std::vector<BatchRecord> records)
             obs::attrCurrentOp()});
         head = false;
     }
-    stats_.add("engine.transactions");
+    sTransactions_.add();
     startFlush();
 }
 
@@ -156,24 +156,15 @@ JournalManager::startFlush()
             break;
     }
     n = std::min(n, buffer_.size());
-    std::vector<Pending> group;
-    group.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        group.push_back(std::move(buffer_.front()));
-        buffer_.pop_front();
-    }
 
-    std::vector<Placed> placed;
     std::uint64_t first_chunk = 0;
     std::uint64_t end_chunk = 0;
-    if (!placeGroup(group, placed, first_chunk, end_chunk)) {
-        // Out of journal space: put the group back (order preserved)
-        // and ask the engine for a checkpoint.
-        for (auto it = group.rbegin(); it != group.rend(); ++it)
-            buffer_.push_front(std::move(*it));
+    if (!placeGroup(n, first_chunk, end_chunk)) {
+        // Out of journal space: the group stays buffered; ask the
+        // engine for a checkpoint.
         stalledForSpace_ = true;
         stallStart_ = eq_.now();
-        stats_.add("engine.journalStalls");
+        sStalls_.add();
         obs::instant(obs::Cat::Engine, kJournalLane, "journal.stall",
                      eq_.now(), {{"bufferedLogs", buffer_.size()}});
         if (telem_ != nullptr) {
@@ -185,13 +176,11 @@ JournalManager::startFlush()
         return;
     }
     flushInFlight_ = true;
-    submitGroup(std::move(placed), first_chunk, end_chunk);
+    submitGroup(first_chunk, end_chunk);
 }
 
 bool
-JournalManager::placeGroup(std::vector<Pending> &group,
-                           std::vector<Placed> &placed,
-                           std::uint64_t &first_chunk,
+JournalManager::placeGroup(std::size_t n, std::uint64_t &first_chunk,
                            std::uint64_t &end_chunk)
 {
     const std::uint32_t uc = unitChunks();
@@ -200,82 +189,72 @@ JournalManager::placeGroup(std::vector<Pending> &group,
     first_chunk = aligned ? alignUp(off, uc) : off;
     std::uint64_t cursor = first_chunk;
 
-    // Dry placement first: nothing is moved out of @p group until
-    // the whole group is known to fit.
-    struct Slot
-    {
-        std::size_t index;
-        std::uint64_t chunkOff;
-        std::uint32_t chunks;
-        LogType type;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(group.size());
+    // Dry placement first: nothing leaves buffer_ until the whole
+    // group is known to fit.
+    slots_.clear();
     std::uint64_t merged_units = 0;
     std::uint64_t partial_units = 0;
 
     if (!aligned) {
-        for (std::size_t i = 0; i < group.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             const FormattedSize f = formatLogSize(
-                group[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
+                buffer_[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
                 false, cfg_.compressRatio);
-            slots.push_back(Slot{i, cursor, f.chunks, f.type});
+            slots_.push_back(Slot{i, cursor, f.chunks, f.type, 0});
             cursor += f.chunks;
         }
     } else {
         // FULL records first, each at a unit boundary.
-        std::vector<std::pair<std::size_t, FormattedSize>> partials;
-        for (std::size_t i = 0; i < group.size(); ++i) {
+        partials_.clear();
+        for (std::size_t i = 0; i < n; ++i) {
             const FormattedSize f = formatLogSize(
-                group[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
+                buffer_[i].valueBytes, ssd_.ftl().mappingUnitBytes(),
                 true, cfg_.compressRatio);
             if (f.type == LogType::Full) {
-                slots.push_back(Slot{i, cursor, f.chunks, f.type});
+                slots_.push_back(Slot{i, cursor, f.chunks, f.type, 0});
                 cursor += f.chunks;
             } else {
-                partials.push_back({i, f});
+                partials_.push_back({i, f});
             }
         }
         // First-fit-decreasing bin packing of PARTIALs into units
         // (Algorithm 2's MergePartialLogs).
-        std::sort(partials.begin(), partials.end(),
+        std::sort(partials_.begin(), partials_.end(),
                   [](const auto &a, const auto &b) {
                       return a.second.chunks > b.second.chunks;
                   });
-        struct Bin
-        {
-            std::uint64_t base;
-            std::uint32_t fill = 0;
-            std::vector<std::size_t> members; // indices into slots
-        };
-        std::vector<Bin> bins;
-        for (const auto &[index, f] : partials) {
-            Bin *target = nullptr;
+        bins_.clear();
+        for (const auto &[index, f] : partials_) {
+            std::size_t target = bins_.size();
             if (cfg_.mergePartials) {
-                for (Bin &b : bins) {
-                    if (b.fill + f.chunks <= uc) {
-                        target = &b;
+                for (std::size_t b = 0; b < bins_.size(); ++b) {
+                    if (bins_[b].fill + f.chunks <= uc) {
+                        target = b;
                         break;
                     }
                 }
             }
-            if (target == nullptr) {
-                bins.push_back(Bin{cursor, 0, {}});
+            if (target == bins_.size()) {
+                bins_.push_back(Bin{cursor, 0, 0});
                 cursor += uc;
-                target = &bins.back();
             }
-            slots.push_back(Slot{index, target->base + target->fill,
-                                 f.chunks, LogType::Partial});
-            target->members.push_back(slots.size() - 1);
-            target->fill += f.chunks;
+            Bin &bin = bins_[target];
+            slots_.push_back(Slot{index, bin.base + bin.fill, f.chunks,
+                                  LogType::Partial,
+                                  std::uint32_t(target)});
+            ++bin.members;
+            bin.fill += f.chunks;
         }
-        for (const Bin &b : bins) {
-            if (b.members.size() > 1) {
+        for (const Bin &b : bins_) {
+            if (b.members > 1)
                 ++merged_units;
-                for (std::size_t idx : b.members)
-                    slots[idx].type = LogType::Merged;
-            } else {
+            else
                 ++partial_units;
+        }
+        for (Slot &slot : slots_) {
+            if (slot.type == LogType::Partial &&
+                bins_[slot.bin].members > 1) {
+                slot.type = LogType::Merged;
             }
         }
     }
@@ -283,43 +262,43 @@ JournalManager::placeGroup(std::vector<Pending> &group,
     if (end_chunk > layout_.journalChunks())
         return false;
 
-    stats_.add("engine.mergedUnits", merged_units);
-    stats_.add("engine.partialUnits", partial_units);
-    placed.reserve(slots.size());
-    for (const Slot &s : slots) {
-        placed.push_back(Placed{std::move(group[s.index]), s.chunkOff,
-                                s.chunks, s.type});
+    sMergedUnits_.add(merged_units);
+    sPartialUnits_.add(partial_units);
+    for (const Slot &slot : slots_) {
+        inflight_.push_back(Placed{std::move(buffer_[slot.index]),
+                                   slot.chunkOff, slot.chunks,
+                                   slot.type});
     }
+    for (std::size_t i = 0; i < n; ++i)
+        buffer_.pop_front();
     return true;
 }
 
 void
-JournalManager::submitGroup(std::vector<Placed> placed,
-                            std::uint64_t first_chunk,
+JournalManager::submitGroup(std::uint64_t first_chunk,
                             std::uint64_t end_chunk)
 {
     const std::uint8_t half = active_;
     std::vector<std::uint64_t> &image = image_[half];
 
     // Lay the records' chunk tokens into the half image.
-    for (const Placed &pl : placed) {
+    for (const Placed &pl : inflight_) {
         if (pl.pending.valueBytes == 0) {
             image[pl.chunkOff] = tombstoneToken(pl.pending.key,
                                                 pl.pending.version);
-            stats_.add("engine.tombstones");
+            sTombstones_.add();
         } else {
             for (std::uint32_t c = 0; c < pl.chunks; ++c) {
                 image[pl.chunkOff + c] = dataChunkToken(
                     pl.pending.key, pl.pending.version, c);
             }
         }
-        stats_.add("engine.journalLogs");
-        stats_.add("engine.journalChunksStored", pl.chunks);
-        stats_.add("engine.journalPayloadBytes",
-                   pl.pending.valueBytes);
+        sLogs_.add();
+        sChunksStored_.add(pl.chunks);
+        sPayloadBytes_.add(pl.pending.valueBytes);
     }
     appendChunk_[half] = end_chunk;
-    logsAppended_[half] += placed.size();
+    logsAppended_[half] += inflight_.size();
 
     // The dirty sector range. Conventional packing re-writes the
     // partially filled first sector (tail rewrite); aligned mode
@@ -327,7 +306,8 @@ JournalManager::submitGroup(std::vector<Placed> placed,
     const std::uint64_t s0 = first_chunk / kChunksPerSector;
     const std::uint64_t s1 =
         divCeil(end_chunk, kChunksPerSector); // exclusive
-    std::vector<SectorData> payload(s1 - s0);
+    std::vector<SectorData> payload = ssd_.takePayloadBuffer();
+    payload.resize(s1 - s0);
     for (std::uint64_t s = s0; s < s1; ++s) {
         for (std::uint32_t c = 0; c < kChunksPerSector; ++c) {
             payload[s - s0].chunks[c] =
@@ -335,8 +315,8 @@ JournalManager::submitGroup(std::vector<Placed> placed,
         }
     }
 
-    stats_.add("engine.journalFlushes");
-    stats_.add("engine.journalSectorsWritten", payload.size());
+    sFlushes_.add();
+    sSectorsWritten_.add(payload.size());
 
     Command cmd = Command::write(layout_.journalStart[half] + s0,
                                  std::move(payload), IoCause::Journal);
@@ -350,80 +330,37 @@ JournalManager::submitGroup(std::vector<Placed> placed,
         // units carry no target (they are copied, not remapped).
         const std::uint32_t spu = ssd_.ftl().sectorsPerUnit();
         const std::uint32_t uc = unitChunks();
-        const std::uint64_t first_unit = first_chunk / uc;
-        const std::uint64_t unit_count =
-            divCeil(end_chunk, uc) - first_unit;
-        bool any = false;
-        std::vector<OobEntry> unit_oob(unit_count);
-        for (const Placed &pl : placed) {
-            if (pl.pending.valueBytes == 0 ||
-                pl.chunkOff % uc != 0 || pl.chunks % uc != 0) {
-                continue;
+        const auto remappable = [uc](const Placed &pl) {
+            return pl.pending.valueBytes != 0 &&
+                   pl.chunkOff % uc == 0 && pl.chunks % uc == 0;
+        };
+        if (std::any_of(inflight_.begin(), inflight_.end(),
+                        remappable)) {
+            const std::uint64_t first_unit = first_chunk / uc;
+            std::vector<OobEntry> unit_oob = ssd_.takeOobBuffer();
+            unit_oob.resize(divCeil(end_chunk, uc) - first_unit);
+            for (const Placed &pl : inflight_) {
+                if (!remappable(pl))
+                    continue;
+                const Lpn target0 =
+                    layout_.targetLba(pl.pending.key) / spu;
+                const std::uint64_t base =
+                    pl.chunkOff / uc - first_unit;
+                for (std::uint32_t k = 0; k < pl.chunks / uc; ++k) {
+                    unit_oob[base + k].version = pl.pending.version;
+                    unit_oob[base + k].targetLpn = target0 + k;
+                }
             }
-            const Lpn target0 =
-                layout_.targetLba(pl.pending.key) / spu;
-            const std::uint64_t base =
-                pl.chunkOff / uc - first_unit;
-            for (std::uint32_t k = 0; k < pl.chunks / uc; ++k) {
-                unit_oob[base + k].version = pl.pending.version;
-                unit_oob[base + k].targetLpn = target0 + k;
-            }
-            any = true;
-        }
-        if (any)
             cmd.unitOob = std::move(unit_oob);
+        }
     }
     const Tick submitted = eq_.now();
-    const std::uint64_t group_sectors = s1 - s0; // payload was moved
-    // Latency attribution: the group members' ops are replayed after
-    // the (synchronous) command processing below, so collect them now
-    // before `placed` moves into the completion. The completion lambda
-    // itself must not grow (Ssd::Completion inline-storage budget).
-    std::vector<obs::OpToken> member_ops;
-    if (obs::attributionOn()) {
-        member_ops.reserve(placed.size());
-        for (const Placed &pl : placed)
-            member_ops.push_back(pl.pending.op);
-    }
+    const std::uint64_t group_sectors = s1 - s0;
     ssd_.submit(std::move(cmd),
-                [this, half, submitted, group_sectors,
-                 placed = std::move(placed)](const CmdResult &r) {
-        const Tick done = r.require();
-        obs::span(obs::Cat::Engine, kJournalLane,
-                  "journal.groupCommit", submitted, done,
-                  {{"logs", placed.size()},
-                   {"sectors", group_sectors}});
-        for (const Placed &pl : placed) {
-            JmtEntry entry;
-            entry.key = pl.pending.key;
-            entry.version = pl.pending.version;
-            entry.half = half;
-            entry.chunkOff = pl.chunkOff;
-            entry.chunks = pl.chunks;
-            entry.payloadBytes = pl.pending.valueBytes;
-            entry.type = pl.type;
-            // Aligned placement reorders records within the group, so
-            // guard against a same-key older version landing last.
-            auto it = jmt_.find(entry.key);
-            if (it == jmt_.end() ||
-                it->second.version < entry.version) {
-                jmt_[entry.key] = entry;
-            }
-            if (pl.pending.cb)
-                pl.pending.cb(entry, done);
-        }
-        flushInFlight_ = false;
-        if (quiesceCb_) {
-            // A checkpoint is waiting to switch halves; hold further
-            // flushes until it has snapshotted the JMT.
-            auto cb = std::move(quiesceCb_);
-            quiesceCb_ = nullptr;
-            cb();
-        } else {
-            startFlush();
-        }
-    });
-    if (!member_ops.empty()) {
+                [this, half, submitted, group_sectors](const CmdResult &r) {
+                    onGroupDone(half, submitted, group_sectors, r);
+                });
+    if (obs::attributionOn()) {
         // Every stage boundary of the flush is known once the
         // (synchronous) command processing above returned. Charge
         // each member op's buffered wait — split around any space
@@ -432,7 +369,8 @@ JournalManager::submitGroup(std::vector<Placed> placed,
         // so ops appended after the stall skip its window and a
         // multi-record op absorbs repeats as no-ops.
         obs::AttributionCollector *a = obs::installedAttribution();
-        for (obs::OpToken op : member_ops) {
+        for (const Placed &pl : inflight_) {
+            const obs::OpToken op = pl.pending.op;
             if (op == obs::kNoOpToken)
                 continue;
             a->mark(op, obs::Stage::JournalWait, stallStart_);
@@ -440,6 +378,44 @@ JournalManager::submitGroup(std::vector<Placed> placed,
             a->mark(op, obs::Stage::JournalWait, submitted);
             a->applyCmdTo(op);
         }
+    }
+}
+
+void
+JournalManager::onGroupDone(std::uint8_t half, Tick submitted,
+                            std::uint64_t sectors, const CmdResult &r)
+{
+    const Tick done = r.require();
+    obs::span(obs::Cat::Engine, kJournalLane, "journal.groupCommit",
+              submitted, done,
+              {{"logs", inflight_.size()}, {"sectors", sectors}});
+    for (Placed &pl : inflight_) {
+        JmtEntry entry;
+        entry.key = pl.pending.key;
+        entry.version = pl.pending.version;
+        entry.half = half;
+        entry.chunkOff = pl.chunkOff;
+        entry.chunks = pl.chunks;
+        entry.payloadBytes = pl.pending.valueBytes;
+        entry.type = pl.type;
+        // Aligned placement reorders records within the group, so
+        // guard against a same-key older version landing last.
+        auto it = jmt_.find(entry.key);
+        if (it == jmt_.end() || it->second.version < entry.version)
+            jmt_[entry.key] = entry;
+        if (pl.pending.cb)
+            pl.pending.cb(entry, done);
+    }
+    inflight_.clear();
+    flushInFlight_ = false;
+    if (quiesceCb_) {
+        // A checkpoint is waiting to switch halves; hold further
+        // flushes until it has snapshotted the JMT.
+        auto cb = std::move(quiesceCb_);
+        quiesceCb_ = nullptr;
+        cb();
+    } else {
+        startFlush();
     }
 }
 

@@ -15,7 +15,6 @@
 #define CHECKIN_ENGINE_JOURNAL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +23,8 @@
 #include "engine/layout.h"
 #include "obs/attribution.h"
 #include "sim/event_queue.h"
+#include "sim/inline_event.h"
+#include "sim/ring_queue.h"
 #include "sim/sim_context.h"
 #include "sim/stats.h"
 #include "ssd/ssd.h"
@@ -77,7 +78,7 @@ class JournalManager
 {
   public:
     /** Fired when a record's group commit completes. */
-    using CommitCb = std::function<void(const JmtEntry &, Tick)>;
+    using CommitCb = InlineFunction<void(const JmtEntry &, Tick)>;
     /** Fired when the journal wants a checkpoint (space pressure). */
     using PressureCb = std::function<void()>;
 
@@ -170,9 +171,9 @@ class JournalManager
   private:
     struct Pending
     {
-        std::uint64_t key;
-        std::uint32_t version;
-        std::uint32_t valueBytes;
+        std::uint64_t key = 0;
+        std::uint32_t version = 0;
+        std::uint32_t valueBytes = 0;
         CommitCb cb;
         /** Records in this batch (set on the head; 1 for singles). */
         std::uint32_t batchLen = 1;
@@ -188,17 +189,39 @@ class JournalManager
         LogType type;
     };
 
+    /** Dry placement of one group record (placeGroup() scratch). */
+    struct Slot
+    {
+        std::size_t index; //!< position in buffer_
+        std::uint64_t chunkOff;
+        std::uint32_t chunks;
+        LogType type;
+        std::uint32_t bin; //!< PARTIAL records: index into bins_
+    };
+
+    /** One mapping unit that PARTIAL records are packed into. */
+    struct Bin
+    {
+        std::uint64_t base;
+        std::uint32_t fill = 0;
+        std::uint32_t members = 0;
+    };
+
     std::uint32_t unitChunks() const;
 
     void startFlush();
-    /** Place @p group in the active half; false when out of space. */
-    bool placeGroup(std::vector<Pending> &group,
-                    std::vector<Placed> &placed,
-                    std::uint64_t &first_chunk,
+    /**
+     * Place the first @p n buffered records in the active half and
+     * move them into inflight_. False, with nothing moved, when the
+     * half is out of space.
+     */
+    bool placeGroup(std::size_t n, std::uint64_t &first_chunk,
                     std::uint64_t &end_chunk);
-    void submitGroup(std::vector<Placed> placed,
-                     std::uint64_t first_chunk,
-                     std::uint64_t end_chunk);
+    /** Write inflight_ to the device. */
+    void submitGroup(std::uint64_t first_chunk, std::uint64_t end_chunk);
+    /** Completion of the inflight_ group commit. */
+    void onGroupDone(std::uint8_t half, Tick submitted,
+                     std::uint64_t sectors, const CmdResult &r);
 
     EventQueue &eq_;
     Ssd &ssd_;
@@ -209,7 +232,13 @@ class JournalManager
     obs::TelemetrySampler *telem_ = nullptr;
     PressureCb onPressure_;
 
-    std::deque<Pending> buffer_;
+    RingQueue<Pending> buffer_;
+    /** The group commit in flight; flushInFlight_ allows one. */
+    std::vector<Placed> inflight_;
+    /** placeGroup() scratch, reused by every group. */
+    std::vector<Slot> slots_;
+    std::vector<std::pair<std::size_t, FormattedSize>> partials_;
+    std::vector<Bin> bins_;
     bool flushInFlight_ = false;
     bool stalledForSpace_ = false;
     /** Last space-stall window (attribution: records buffered across
@@ -226,6 +255,18 @@ class JournalManager
     std::vector<std::uint64_t> image_[2];
 
     std::unordered_map<std::uint64_t, JmtEntry> jmt_;
+
+    // Per-record and per-group counters, interned on their first add.
+    StatHandle sTombstones_{stats_, "engine.tombstones"};
+    StatHandle sLogs_{stats_, "engine.journalLogs"};
+    StatHandle sChunksStored_{stats_, "engine.journalChunksStored"};
+    StatHandle sPayloadBytes_{stats_, "engine.journalPayloadBytes"};
+    StatHandle sMergedUnits_{stats_, "engine.mergedUnits"};
+    StatHandle sPartialUnits_{stats_, "engine.partialUnits"};
+    StatHandle sFlushes_{stats_, "engine.journalFlushes"};
+    StatHandle sSectorsWritten_{stats_, "engine.journalSectorsWritten"};
+    StatHandle sStalls_{stats_, "engine.journalStalls"};
+    StatHandle sTransactions_{stats_, "engine.transactions"};
 };
 
 } // namespace checkin

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -164,10 +163,10 @@ KvEngine::noteJournalAppend()
 }
 
 bool
-KvEngine::maybeDefer(std::function<void()> fn)
+KvEngine::maybeDefer(InlineCallback &task)
 {
     if (cfg_.lockQueriesDuringCheckpoint && ckptInProgress_) {
-        deferred_.push_back(std::move(fn));
+        deferred_.push_back(std::move(task));
         return true;
     }
     return false;
@@ -186,7 +185,7 @@ void
 KvEngine::get(std::uint64_t key, QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, key, op, cb = std::move(cb)]() mutable {
         // A deferred task ran later than scheduled; the gap was spent
         // behind the checkpoint lock (monotone no-op otherwise).
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
@@ -205,8 +204,8 @@ KvEngine::update(std::uint64_t key, std::uint32_t value_bytes,
                  QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, value_bytes, op,
-                 cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, key, value_bytes, op,
+                           cb = std::move(cb)]() mutable {
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
         doUpdate(key, value_bytes, std::move(cb));
@@ -244,7 +243,7 @@ void
 KvEngine::erase(std::uint64_t key, QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, key, op, cb = std::move(cb)]() mutable {
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
         doErase(key, std::move(cb));
@@ -261,8 +260,8 @@ KvEngine::scan(std::uint64_t start_key, std::uint32_t count,
                QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, start_key, count, op,
-                 cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, start_key, count, op,
+                           cb = std::move(cb)]() mutable {
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
         doScan(start_key, count, std::move(cb));
@@ -278,12 +277,12 @@ void
 KvEngine::doGet(std::uint64_t key, QueryCb cb)
 {
     assert(key < cfg_.recordCount);
-    stats_.add("engine.gets");
+    sGets_.add();
     const KeyState st = keymap_[key];
     const bool ckpt_at_submit = ckptInProgress_;
     if (st.version == 0 || st.storedChunks == 0) {
         // Never written, or deleted (tombstone / trimmed slot).
-        stats_.add("engine.getMisses");
+        sGetMisses_.add();
         eq_.scheduleAfter(0, [this, cb = std::move(cb),
                               ckpt_at_submit] {
             cb(QueryResult{eq_.now(), ckpt_at_submit, false});
@@ -293,7 +292,7 @@ KvEngine::doGet(std::uint64_t key, QueryCb cb)
     verifyKeyContent(key, st);
     if (hostCache_.lookup(key, st.version)) {
         // Served from the block management engine's memory.
-        stats_.add("engine.hostCacheHits");
+        sHostCacheHits_.add();
         eq_.scheduleAfter(0, [this, cb = std::move(cb),
                               ckpt_at_submit] {
             cb(QueryResult{eq_.now(),
@@ -306,7 +305,7 @@ KvEngine::doGet(std::uint64_t key, QueryCb cb)
     if (st.inJournal) {
         lba = layout_.journalChunkLba(st.half, st.journalChunk);
         shift = std::uint32_t(st.journalChunk % kChunksPerSector);
-        stats_.add("engine.getsFromJournal");
+        sGetsFromJournal_.add();
     } else {
         lba = layout_.targetLba(key);
     }
@@ -343,8 +342,8 @@ KvEngine::doUpdate(std::uint64_t key, std::uint32_t value_bytes,
                 st.half = e.half;
                 st.journalChunk = e.chunkOff;
             }
-            stats_.add("engine.updates");
-            stats_.add("engine.updateBytes", e.payloadBytes);
+            sUpdates_.add();
+            sUpdateBytes_.add(e.payloadBytes);
             hostCache_.insert(key, e.version, e.chunks * kChunkBytes);
             noteJournalAppend();
             cb(QueryResult{done,
@@ -356,8 +355,8 @@ void
 KvEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, ops = std::move(ops), op,
-                 cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, ops = std::move(ops), op,
+                           cb = std::move(cb)]() mutable {
         assert(!ops.empty());
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
@@ -398,7 +397,7 @@ KvEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
                     }
                     txn->last = std::max(txn->last, done);
                     if (--txn->outstanding == 0) {
-                        stats_.add("engine.batchCommits");
+                        sBatchCommits_.add();
                         noteJournalAppend();
                         txn->cb(QueryResult{
                             txn->last,
@@ -434,7 +433,7 @@ KvEngine::doErase(std::uint64_t key, QueryCb cb)
                 st.half = e.half;
                 st.journalChunk = e.chunkOff;
             }
-            stats_.add("engine.deletes");
+            sDeletes_.add();
             hostCache_.erase(key);
             noteJournalAppend();
             cb(QueryResult{done,
@@ -447,7 +446,7 @@ KvEngine::doScan(std::uint64_t start_key, std::uint32_t count,
                  QueryCb cb)
 {
     assert(start_key < cfg_.recordCount);
-    stats_.add("engine.scans");
+    sScans_.add();
     const std::uint64_t end = std::min<std::uint64_t>(
         cfg_.recordCount, start_key + count);
     const bool ckpt_at_submit = ckptInProgress_;
@@ -501,7 +500,7 @@ KvEngine::doScan(std::uint64_t start_key, std::uint32_t count,
         const std::uint64_t nsect =
             (data_last - data_first + 1) * layout_.slotSectors;
         ++job->outstanding;
-        stats_.add("engine.scanSequentialSectors", nsect);
+        sScanSequentialSectors_.add(nsect);
         ssd_.submit(Command::read(lba, nsect, IoCause::Query),
                     complete);
     }
@@ -628,7 +627,7 @@ KvEngine::trimTombstones(const std::vector<JmtEntry> &tombs,
     job->outstanding = tombs.size();
     job->cb = std::move(cb);
     for (const JmtEntry &e : tombs) {
-        stats_.add("engine.ckptTombstoneTrims");
+        sTombstoneTrims_.add();
         ssd_.submit(Command::trim(layout_.targetLba(e.key),
                                   layout_.slotSectors),
                     [job](const CmdResult &r) {
@@ -687,12 +686,15 @@ KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
     }
     const auto g = std::uint32_t(
         std::max<std::uint32_t>(1, ssd_.ftl().sectorsPerUnit()));
-    std::set<Lba> bases;
+    std::vector<Lba> bases;
+    bases.reserve(entries.size());
     for (const JmtEntry &e : entries) {
         const Lba rel = layout_.catalogLba(e.key) -
                         layout_.catalogStart;
-        bases.insert(layout_.catalogStart + alignDown(rel, g));
+        bases.push_back(layout_.catalogStart + alignDown(rel, g));
     }
+    std::sort(bases.begin(), bases.end());
+    bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
     struct Job
     {
         std::size_t outstanding;
@@ -703,7 +705,8 @@ KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
     job->outstanding = bases.size();
     job->cb = std::move(cb);
     for (Lba base : bases) {
-        std::vector<SectorData> payload(g);
+        std::vector<SectorData> payload = ssd_.takePayloadBuffer();
+        payload.resize(g);
         for (std::uint32_t s = 0; s < g; ++s) {
             for (std::uint32_t c = 0; c < kChunksPerSector; ++c) {
                 const std::uint64_t k =
@@ -718,7 +721,7 @@ KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
                 }
             }
         }
-        stats_.add("engine.catalogSectorsWritten", g);
+        sCatalogSectors_.add(g);
         ssd_.submit(Command::write(base, std::move(payload),
                                    IoCause::Metadata),
                     [job](const CmdResult &r) {
@@ -819,15 +822,14 @@ KvEngine::verifyKeyContent(std::uint64_t key,
     } else {
         lba = layout_.targetLba(key);
     }
-    const auto nsect = std::uint32_t(
-        divCeil(shift + st.storedChunks, kChunksPerSector));
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(lba, nsect, buf.data());
+    // Compare sector by sector through one stack buffer: a get
+    // checks its tokens without allocating.
+    SectorData sector;
     for (std::uint32_t c = 0; c < st.storedChunks; ++c) {
         const std::uint32_t pos = shift + c;
-        const std::uint64_t got =
-            buf[pos / kChunksPerSector]
-                .chunks[pos % kChunksPerSector];
+        if (c == 0 || pos % kChunksPerSector == 0)
+            ssd_.peek(lba + pos / kChunksPerSector, 1, &sector);
+        const std::uint64_t got = sector.chunks[pos % kChunksPerSector];
         const std::uint64_t want =
             dataChunkToken(key, st.version, c);
         if (got != want) {

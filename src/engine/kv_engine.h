@@ -25,6 +25,7 @@
 #include "obs/attribution.h"
 #include "obs/flight_recorder.h"
 #include "sim/event_queue.h"
+#include "sim/inline_event.h"
 #include "sim/sim_context.h"
 #include "sim/stats.h"
 #include "ssd/ssd.h"
@@ -160,8 +161,9 @@ class KvEngine : public StorageEngine
     /** Trim the data-area slots of deleted keys (fan-out). */
     void trimTombstones(const std::vector<JmtEntry> &tombs,
                         std::function<void(Tick)> cb);
-    /** Defer a query while checkpoint-locked; true when deferred. */
-    bool maybeDefer(std::function<void()> fn);
+    /** Defer @p task (moving it out) while checkpoint-locked; true
+     *  when deferred. */
+    bool maybeDefer(InlineCallback &task);
     void drainDeferred();
 
     void onCheckpointTimer();
@@ -211,7 +213,23 @@ class KvEngine : public StorageEngine
      *  until finishCheckpoint() turns them into deltas. */
     obs::CheckpointStat ckptRec_;
     std::uint64_t ckptSeq_ = 0;
-    std::deque<std::function<void()>> deferred_;
+    std::deque<InlineCallback> deferred_;
+
+    // Per-op and per-entry counters, interned on their first add.
+    StatHandle sGets_{stats_, "engine.gets"};
+    StatHandle sGetMisses_{stats_, "engine.getMisses"};
+    StatHandle sHostCacheHits_{stats_, "engine.hostCacheHits"};
+    StatHandle sGetsFromJournal_{stats_, "engine.getsFromJournal"};
+    StatHandle sUpdates_{stats_, "engine.updates"};
+    StatHandle sUpdateBytes_{stats_, "engine.updateBytes"};
+    StatHandle sDeletes_{stats_, "engine.deletes"};
+    StatHandle sBatchCommits_{stats_, "engine.batchCommits"};
+    StatHandle sScans_{stats_, "engine.scans"};
+    StatHandle sScanSequentialSectors_{stats_,
+                                       "engine.scanSequentialSectors"};
+    StatHandle sTombstoneTrims_{stats_, "engine.ckptTombstoneTrims"};
+    StatHandle sCatalogSectors_{stats_,
+                                "engine.catalogSectorsWritten"};
 };
 
 } // namespace checkin

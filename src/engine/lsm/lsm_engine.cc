@@ -212,10 +212,10 @@ LsmEngine::noteWalAppend()
 }
 
 bool
-LsmEngine::maybeDefer(std::function<void()> fn)
+LsmEngine::maybeDefer(InlineCallback &task)
 {
     if (cfg_.lockQueriesDuringCheckpoint && flushInProgress_) {
-        deferred_.push_back(std::move(fn));
+        deferred_.push_back(std::move(task));
         return true;
     }
     return false;
@@ -238,7 +238,7 @@ void
 LsmEngine::get(std::uint64_t key, QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, key, op, cb = std::move(cb)]() mutable {
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
         doGet(key, std::move(cb));
@@ -284,8 +284,8 @@ LsmEngine::update(std::uint64_t key, std::uint32_t value_bytes,
                   QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, value_bytes, op,
-                 cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, key, value_bytes, op,
+                           cb = std::move(cb)]() mutable {
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
         assert(key < cfg_.recordCount);
@@ -343,7 +343,7 @@ void
 LsmEngine::erase(std::uint64_t key, QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, key, op, cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, key, op, cb = std::move(cb)]() mutable {
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
         assert(key < cfg_.recordCount);
@@ -379,8 +379,8 @@ void
 LsmEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, ops = std::move(ops), op,
-                 cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, ops = std::move(ops), op,
+                           cb = std::move(cb)]() mutable {
         assert(!ops.empty());
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
@@ -433,8 +433,8 @@ LsmEngine::scan(std::uint64_t start_key, std::uint32_t count,
                 QueryCb cb)
 {
     const obs::OpToken op = obs::attrCurrentOp();
-    auto task = [this, start_key, count, op,
-                 cb = std::move(cb)]() mutable {
+    InlineCallback task = [this, start_key, count, op,
+                           cb = std::move(cb)]() mutable {
         obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
         obs::AttrOpScope attr_scope(op);
         doScan(start_key, count, std::move(cb));

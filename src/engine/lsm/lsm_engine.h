@@ -19,6 +19,7 @@
 #include "engine/storage_engine.h"
 #include "obs/flight_recorder.h"
 #include "sim/event_queue.h"
+#include "sim/inline_event.h"
 #include "sim/sim_context.h"
 #include "sim/stats.h"
 #include "ssd/ssd.h"
@@ -201,7 +202,9 @@ class LsmEngine : public StorageEngine
     void doGet(std::uint64_t key, QueryCb cb);
     void doScan(std::uint64_t start_key, std::uint32_t count,
                 QueryCb cb);
-    bool maybeDefer(std::function<void()> fn);
+    /** Defer @p task (moving it out) while flush-locked; true when
+     *  deferred. */
+    bool maybeDefer(InlineCallback &task);
     void drainDeferred();
     void onFlushTimer();
     /** Current trigger-policy inputs. */
@@ -284,7 +287,7 @@ class LsmEngine : public StorageEngine
     std::vector<Tick> flushDurations_;
     obs::CheckpointStat flushRec_;
     std::uint64_t flushSeq_ = 0;
-    std::deque<std::function<void()>> deferred_;
+    std::deque<InlineCallback> deferred_;
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
 };

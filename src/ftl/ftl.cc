@@ -458,23 +458,23 @@ Ftl::touchMapEntry(Tick earliest)
         stats_.add(
             sSlotWritesBy_[std::size_t(IoCause::MapFlush)]);
     }
-    stats_.add("ftl.mapFlushes");
+    sMapFlushes_.add();
     obs::instant(obs::Cat::Ftl, kFtlLane, "ftl.mapFlush", earliest,
                  {{"slots", slotsPerPage_}});
     inMapFlush_ = false;
 }
 
 Tick
-Ftl::readSlotPages(const std::vector<SlotId> &slots, IoCause cause,
+Ftl::readSlotPages(const SlotId *slots, std::size_t n, IoCause cause,
                    Tick earliest)
 {
     Tick done = earliest;
-    std::vector<Ppn> pages;
-    pages.reserve(slots.size());
-    for (SlotId s : slots) {
-        if (isBuffered(s))
+    std::vector<Ppn> &pages = readPages_;
+    pages.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        if (isBuffered(slots[i]))
             continue;
-        pages.push_back(pageOfSlot(s));
+        pages.push_back(pageOfSlot(slots[i]));
     }
     std::sort(pages.begin(), pages.end());
     pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
@@ -507,7 +507,8 @@ Ftl::readSectors(Lba lba, std::uint32_t nsect, IoCause cause,
 {
     assert(lba + nsect <= logicalSectors());
     stats_.add(sHostReadSectors_, nsect);
-    std::vector<SlotId> slots;
+    std::vector<SlotId> &slots = readSlots_;
+    slots.clear();
     const Lpn first = lba / sectorsPerUnit_;
     const Lpn last = (lba + nsect - 1) / sectorsPerUnit_;
     earliest = mapAccessRange(first, last, earliest);
@@ -515,7 +516,7 @@ Ftl::readSectors(Lba lba, std::uint32_t nsect, IoCause cause,
         if (map_[u] != kInvalidAddr)
             slots.push_back(map_[u]);
     }
-    return readSlotPages(slots, cause, earliest);
+    return readSlotPages(slots.data(), slots.size(), cause, earliest);
 }
 
 Tick
@@ -541,10 +542,11 @@ Ftl::writeSectors(Lba lba, std::uint32_t nsect, const SectorData *data,
         const bool partial = (s1 - s0) != sectorsPerUnit_;
 
         // Read-modify-write: fetch the rest of the unit first.
-        std::vector<SectorData> merged(sectorsPerUnit_);
+        std::vector<SectorData> &merged = writeUnit_;
+        merged.assign(sectorsPerUnit_, SectorData{});
         const SlotId old_slot = map_[u];
         if (partial && old_slot != kInvalidAddr) {
-            ack = std::max(ack, readSlotPages({old_slot}, cause,
+            ack = std::max(ack, readSlotPages(&old_slot, 1, cause,
                                               earliest));
             stats_.add(sRmwReads_);
             for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
@@ -647,7 +649,8 @@ Ftl::copySectors(Lba src, Lba dst, std::uint32_t nsect, IoCause cause,
         if (map_[u] != kInvalidAddr)
             slots.push_back(map_[u]);
     }
-    const Tick fetched = readSlotPages(slots, cause, earliest);
+    const Tick fetched =
+        readSlotPages(slots.data(), slots.size(), cause, earliest);
     return writeSectors(dst, nsect, buf.data(), cause, fetched);
 }
 
@@ -697,8 +700,8 @@ Ftl::gcOnce(Tick earliest, bool background)
     if (bm_.validCount(victim) >= slots_per_block)
         return false;
 
-    stats_.add("gc.invocations");
-    stats_.add(background ? "gc.background" : "gc.inline");
+    sGcInvocations_.add();
+    (background ? sGcBackground_ : sGcInline_).add();
     // Inline GC inside a host command is a stall on that op's path;
     // background GC runs with no active command and marks nothing.
     obs::AttrStageScope attr_gc(obs::Stage::GcStall);
@@ -743,12 +746,13 @@ Ftl::reclaimBlock(Pbn victim, Tick earliest)
                 continue;
             // Snapshot payload + references before allocateSlot can
             // wipe shadows.
-            std::vector<SectorData> payload(sectorsPerUnit_);
-            for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                payload[k] = sectors_[old_slot * sectorsPerUnit_ + k];
+            std::vector<SectorData> &payload = gcPayload_;
+            payload.assign(sectors_.begin() + old_slot * sectorsPerUnit_,
+                           sectors_.begin() +
+                               (old_slot + 1) * sectorsPerUnit_);
             const OobEntry oob = slotOob_[old_slot];
-            std::vector<Lpn> refs;
-            refs.reserve(slotInfo_[old_slot].nrefs);
+            std::vector<Lpn> &refs = gcRefs_;
+            refs.clear();
             forEachRef(old_slot,
                        [&refs](Lpn lpn) { refs.push_back(lpn); });
 
@@ -778,7 +782,7 @@ Ftl::reclaimBlock(Pbn victim, Tick earliest)
               erased.tick, {{"victim", victim}});
     for (std::uint32_t p = 0; p < nand_.config().pagesPerBlock; ++p)
         cacheEvict(first + p);
-    stats_.add("gc.erases");
+    sGcErases_.add();
     if (erased.ok()) {
         bm_.release(victim, nand_.eraseCount(victim));
     } else {

@@ -313,9 +313,10 @@ class Ftl
     /** Account a dirty mapping entry; flush the table when due. */
     void touchMapEntry(Tick earliest);
 
-    /** Read (timing) every distinct flash page backing the slots. */
-    Tick readSlotPages(const std::vector<SlotId> &slots, IoCause cause,
-                       Tick earliest);
+    /** Read (timing) every distinct flash page backing the @p n
+     *  slots at @p slots. */
+    Tick readSlotPages(const SlotId *slots, std::size_t n,
+                       IoCause cause, Tick earliest);
 
     /** Inline GC to keep free blocks above the low-water mark. */
     void maybeGc(Tick earliest);
@@ -387,6 +388,15 @@ class Ftl
     ProgramObserver onProgram_;
     StatRegistry stats_;
 
+    // Per-call scratch, reused so the host data path does not
+    // allocate. Each buffer has one owner: writeSectors() can run GC
+    // (allocateSlot -> maybeGc -> reclaimBlock), so GC keeps its own.
+    std::vector<SlotId> readSlots_;        //!< readSectors()
+    std::vector<Ppn> readPages_;           //!< readSlotPages()
+    std::vector<SectorData> writeUnit_;    //!< writeSectors()
+    std::vector<SectorData> gcPayload_;    //!< reclaimBlock()
+    std::vector<Lpn> gcRefs_;              //!< reclaimBlock()
+
     /** Single trace lane for FTL-level events (Cat::Ftl). */
     static constexpr std::uint32_t kFtlLane = 0;
 
@@ -407,6 +417,12 @@ class Ftl
     StatId sTrimmedUnits_;
     StatId sGcPageReads_;
     StatId sGcMigratedSlots_;
+    // Counters that only exist once they fire (see StatHandle).
+    StatHandle sMapFlushes_{stats_, "ftl.mapFlushes"};
+    StatHandle sGcInvocations_{stats_, "gc.invocations"};
+    StatHandle sGcBackground_{stats_, "gc.background"};
+    StatHandle sGcInline_{stats_, "gc.inline"};
+    StatHandle sGcErases_{stats_, "gc.erases"};
 };
 
 } // namespace checkin

@@ -95,6 +95,13 @@ class InlineFunction<R(Args...)>
                       "callable does not match InlineFunction "
                       "signature");
         if constexpr (fitsInline<Fn>) {
+            if constexpr (std::is_trivially_copyable_v<Fn> &&
+                          sizeof(Fn) < kInlineBytes) {
+                // Moves copy the whole buffer (trivialRelocate), so
+                // the bytes past the callable must hold a value too.
+                std::memset(buf_ + sizeof(Fn), 0,
+                            kInlineBytes - sizeof(Fn));
+            }
             ::new (storage()) Fn(std::forward<F>(fn));
             ops_ = &kInlineOps<Fn>;
         } else {
@@ -106,6 +113,9 @@ class InlineFunction<R(Args...)>
                 "shrink the capture or raise "
                 "InlineFunction::kInlineBytes");
 #endif
+            // The buffer holds only the pointer; moves copy it whole.
+            std::memset(buf_ + sizeof(Fn *), 0,
+                        kInlineBytes - sizeof(Fn *));
             ::new (storage()) Fn *(new Fn(std::forward<F>(fn)));
             ops_ = &kHeapOps<Fn>;
             detail::g_inline_event_heap_fallbacks.fetch_add(

@@ -111,6 +111,41 @@ class StatRegistry
     std::vector<std::uint64_t> values_;
 };
 
+/**
+ * Hot-path handle of a counter that must not exist before its first
+ * add. The first add() interns the name; later adds are a plain
+ * array index. Interning up front instead would list the counter, at
+ * zero, in the dumps of runs that never touch it.
+ */
+class StatHandle
+{
+  public:
+    /** @p name must outlive the handle (a string literal). */
+    StatHandle(StatRegistry &reg, const char *name)
+        : reg_(&reg), name_(name)
+    {
+    }
+
+    /** A copy would keep adding to the original's registry. */
+    StatHandle(const StatHandle &) = delete;
+    StatHandle &operator=(const StatHandle &) = delete;
+
+    void
+    add(std::uint64_t delta = 1)
+    {
+        if (id_ == kUnset)
+            id_ = reg_->intern(name_);
+        reg_->add(id_, delta);
+    }
+
+  private:
+    static constexpr StatId kUnset = ~StatId{0};
+
+    StatRegistry *reg_;
+    const char *name_;
+    StatId id_ = kUnset;
+};
+
 } // namespace checkin
 
 #endif // CHECKIN_SIM_STATS_H_

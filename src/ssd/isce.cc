@@ -31,12 +31,14 @@ Isce::copyRecord(const CowPair &pair, Tick start)
     // chunk run, and rewrite it at the destination (chunk 0 aligned).
     const std::uint32_t src_sectors = pair.srcSectors();
     const std::uint32_t dst_sectors = pair.dstSectors();
-    std::vector<SectorData> src_buf(src_sectors);
+    std::vector<SectorData> &src_buf = srcBuf_;
+    src_buf.resize(src_sectors);
     ftl_.peekSectors(pair.src, src_sectors, src_buf.data());
     const Tick fetched =
         ftl_.readSectors(pair.src, src_sectors, IoCause::Checkpoint,
                          start);
-    std::vector<SectorData> dst_buf(dst_sectors);
+    std::vector<SectorData> &dst_buf = dstBuf_;
+    dst_buf.assign(dst_sectors, SectorData{});
     for (std::uint32_t c = 0; c < pair.chunks; ++c) {
         const std::uint32_t s = pair.srcChunkShift + c;
         dst_buf[c / kChunksPerSector].chunks[c % kChunksPerSector] =
@@ -52,7 +54,8 @@ Isce::bufferSmallRecord(const CowPair &pair, Tick start)
 {
     // Gather the record's chunks from the journal into device DRAM.
     const std::uint32_t src_sectors = pair.srcSectors();
-    std::vector<SectorData> src_buf(src_sectors);
+    std::vector<SectorData> &src_buf = srcBuf_;
+    src_buf.resize(src_sectors);
     ftl_.peekSectors(pair.src, src_sectors, src_buf.data());
     // Sources may themselves sit in the buffer of a previous round
     // (they do not: sources are journal LBAs, never buffered).
@@ -74,13 +77,13 @@ Isce::bufferSmallRecord(const CowPair &pair, Tick start)
         auto it = smallBuf_.find(pair.dst + s);
         if (it != smallBuf_.end()) {
             it->second = BufferedSector{out, pair.version};
-            stats_.add("isce.elidedSmallWrites");
+            sElided_.add();
         } else {
             smallBuf_.emplace(pair.dst + s,
                               BufferedSector{out, pair.version});
         }
     }
-    stats_.add("isce.bufferedSmallRecords");
+    sBuffered_.add();
     if (obs::traceOn()) {
         obs::instant(obs::Cat::Ssd, kIsceLane, "isce.buffer",
                      fetched, {{"chunks", pair.chunks}});
@@ -96,8 +99,8 @@ Isce::flushSmallBuffer(Tick start)
     // Aggregate: coalesce contiguous sectors into single writes so a
     // multi-sector record (or adjacent records) costs one pass
     // through the FTL instead of per-sector read-modify-writes.
-    std::vector<Lba> lbas;
-    lbas.reserve(smallBuf_.size());
+    std::vector<Lba> &lbas = flushLbas_;
+    lbas.clear();
     for (const auto &[lba, data] : smallBuf_)
         lbas.push_back(lba);
     std::sort(lbas.begin(), lbas.end());
@@ -109,8 +112,8 @@ Isce::flushSmallBuffer(Tick start)
         std::size_t j = i + 1;
         while (j < lbas.size() && lbas[j] == lbas[j - 1] + 1)
             ++j;
-        std::vector<SectorData> run;
-        run.reserve(j - i);
+        std::vector<SectorData> &run = flushRun_;
+        run.clear();
         std::uint64_t run_version = 0;
         for (std::size_t k = i; k < j; ++k) {
             const BufferedSector &b = smallBuf_.at(lbas[k]);
@@ -123,7 +126,8 @@ Isce::flushSmallBuffer(Tick start)
         const Lpn first_unit = lbas[i] / spu;
         const std::uint64_t units =
             (lbas[i] + run.size() - 1) / spu - first_unit + 1;
-        std::vector<OobEntry> unit_oob(units);
+        std::vector<OobEntry> &unit_oob = flushOob_;
+        unit_oob.assign(units, OobEntry{});
         for (std::size_t k = i; k < j; ++k) {
             const std::uint64_t u = lbas[k] / spu - first_unit;
             unit_oob[u].version = std::max(
@@ -200,8 +204,8 @@ Isce::checkpoint(const std::vector<CowPair> &pairs, Tick start,
                 t_pair = std::max(
                     t_pair, ftl_.remapUnit(src0 + u, dst0 + u, t));
             }
-            stats_.add("isce.remappedPairs");
-            stats_.add("isce.remappedUnits", units);
+            sRemappedPairs_.add();
+            sRemappedUnits_.add(units);
             obs::instant(obs::Cat::Ssd, kIsceLane, "isce.remap", t,
                          {{"units", units}});
             done = std::max(done, t_pair);
@@ -219,8 +223,8 @@ Isce::checkpoint(const std::vector<CowPair> &pairs, Tick start,
             obs::span(obs::Cat::Ssd, kIsceLane, "isce.copy", t,
                       copied, {{"chunks", pair.chunks}});
             done = std::max(done, copied);
-            stats_.add("isce.copiedPairs");
-            stats_.add("isce.copiedChunks", pair.chunks);
+            sCopiedPairs_.add();
+            sCopiedChunks_.add(pair.chunks);
         }
     }
     if (smallBuf_.size() >= cfg_.smallBufferSectors &&
@@ -233,13 +237,13 @@ Isce::checkpoint(const std::vector<CowPair> &pairs, Tick start,
 std::uint32_t
 Isce::onLogsDeleted(Tick now)
 {
-    stats_.add("isce.logDeletions");
+    sLogDeletions_.add();
     // The deallocator only steals the flash array for GC when it is
     // idle (paper §III-F): under load the reclaim is deferred.
     if (ftl_.nand().allIdleAt() > now)
         return 0;
     const std::uint32_t reclaimed = ftl_.runBackgroundGc(now);
-    stats_.add("isce.idleGcBlocks", reclaimed);
+    sIdleGcBlocks_.add(reclaimed);
     return reclaimed;
 }
 

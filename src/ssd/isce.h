@@ -118,6 +118,23 @@ class Isce
     const SsdConfig &cfg_;
     StatRegistry &stats_;
     std::unordered_map<Lba, BufferedSector> smallBuf_;
+
+    // Gather and flush scratch, reused by every record and flush.
+    std::vector<SectorData> srcBuf_;
+    std::vector<SectorData> dstBuf_;
+    std::vector<Lba> flushLbas_;
+    std::vector<SectorData> flushRun_;
+    std::vector<OobEntry> flushOob_;
+
+    // Per-record counters, interned on their first add.
+    StatHandle sElided_{stats_, "isce.elidedSmallWrites"};
+    StatHandle sBuffered_{stats_, "isce.bufferedSmallRecords"};
+    StatHandle sRemappedPairs_{stats_, "isce.remappedPairs"};
+    StatHandle sRemappedUnits_{stats_, "isce.remappedUnits"};
+    StatHandle sCopiedPairs_{stats_, "isce.copiedPairs"};
+    StatHandle sCopiedChunks_{stats_, "isce.copiedChunks"};
+    StatHandle sLogDeletions_{stats_, "isce.logDeletions"};
+    StatHandle sIdleGcBlocks_{stats_, "isce.idleGcBlocks"};
 };
 
 } // namespace checkin

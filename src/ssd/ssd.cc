@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -38,10 +39,10 @@ Ssd::Ssd(SimContext &ctx, const NandConfig &nand_cfg,
     // Hostile hardware, if this run has any, comes from the context.
     nand_.setFaultPlan(ctx.faults());
     ftl_.setProgramObserver([this](Tick done) {
-        inflightPrograms_.insert(done);
-        // Bound the set: fully drained entries are useless.
+        inflightPrograms_.push(done);
+        // Bound the heap: fully drained entries are useless.
         while (inflightPrograms_.size() > 4 * cfg_.writeBufferPages)
-            inflightPrograms_.erase(inflightPrograms_.begin());
+            inflightPrograms_.pop();
     });
     for (std::size_t c = 0; c < kCmdTypeCount; ++c) {
         sCmd_[c] = stats_.intern(
@@ -100,14 +101,12 @@ Tick
 Ssd::applyWriteBackpressure(Tick ack)
 {
     // Drop programs that have drained by the ack time.
-    while (!inflightPrograms_.empty() &&
-           *inflightPrograms_.begin() <= ack) {
-        inflightPrograms_.erase(inflightPrograms_.begin());
-    }
+    while (!inflightPrograms_.empty() && inflightPrograms_.top() <= ack)
+        inflightPrograms_.pop();
     // If the buffer is over capacity, the ack waits for drains.
     while (inflightPrograms_.size() >= cfg_.writeBufferPages) {
-        const Tick drain = *inflightPrograms_.begin();
-        inflightPrograms_.erase(inflightPrograms_.begin());
+        const Tick drain = inflightPrograms_.top();
+        inflightPrograms_.pop();
         if (drain > ack) {
             ack = drain;
             stats_.add(sWriteStalls_);
@@ -122,14 +121,12 @@ Tick
 Ssd::admitCommand(Tick now)
 {
     // Retire completions that have drained by now.
-    while (!inflightCommands_.empty() &&
-           *inflightCommands_.begin() <= now) {
-        inflightCommands_.erase(inflightCommands_.begin());
-    }
+    while (!inflightCommands_.empty() && inflightCommands_.top() <= now)
+        inflightCommands_.pop();
     Tick admission = now;
     while (inflightCommands_.size() >= cfg_.queueDepth) {
-        admission = std::max(admission, *inflightCommands_.begin());
-        inflightCommands_.erase(inflightCommands_.begin());
+        admission = std::max(admission, inflightCommands_.top());
+        inflightCommands_.pop();
         stats_.add(sQueueFullStalls_);
     }
     if (admission > now) {
@@ -142,6 +139,11 @@ Ssd::admitCommand(Tick now)
 CmdResult
 Ssd::processCommand(const Command &cmd)
 {
+    if ((cmd.type == CmdType::Read || cmd.type == CmdType::Write) &&
+        cmd.nsect == 0) {
+        throw std::invalid_argument(std::string("zero-length ") +
+                                    cmdTypeName(cmd.type));
+    }
     stats_.add(sCmd_[std::size_t(cmd.type)]);
     const Tick now = eq_.now();
     // Stage-boundary capture for latency attribution: the FTL and
@@ -291,7 +293,12 @@ Ssd::submit(Command cmd, Completion cb)
 {
     const CmdResult res = processCommand(cmd);
     assert(res.tick >= eq_.now());
-    inflightCommands_.insert(res.tick);
+    inflightCommands_.push(res.tick);
+    // Keep the larger buffers for takePayloadBuffer()/takeOobBuffer().
+    if (cmd.payload.capacity() > spentPayload_.capacity())
+        spentPayload_ = std::move(cmd.payload);
+    if (cmd.unitOob.capacity() > spentOob_.capacity())
+        spentOob_ = std::move(cmd.unitOob);
     // Park the callback in a pooled slot: the scheduled event then
     // captures {this, idx} (16 bytes), so neither the event nor the
     // completion ever heap-allocates in steady state.
@@ -325,7 +332,7 @@ Tick
 Ssd::submitSync(const Command &cmd)
 {
     const CmdResult res = processCommand(cmd);
-    inflightCommands_.insert(res.tick);
+    inflightCommands_.push(res.tick);
     return res.require();
 }
 
@@ -347,8 +354,8 @@ Ssd::suddenPowerLoss()
     // Firmware RAM (map tables, queues, cache) is gone. In-flight
     // completions die with it (the caller clears the event queue, so
     // their scheduled deliveries are gone too).
-    inflightPrograms_.clear();
-    inflightCommands_.clear();
+    inflightPrograms_ = TickHeap();
+    inflightCommands_ = TickHeap();
     pending_.clear();
     freePending_ = kNoPending;
     return ftl_.rebuildFromPowerLoss();

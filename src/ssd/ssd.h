@@ -15,7 +15,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <set>
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include "ftl/ftl.h"
@@ -55,6 +56,7 @@ class Ssd
      * command's completion tick. Commands whose NAND reads stayed
      * uncorrectable past the retry budget complete with
      * CmdStatus::MediaError (see CmdResult::require()).
+     * @throws std::invalid_argument on a zero-length Read or Write.
      */
     void submit(Command cmd, Completion cb);
 
@@ -62,8 +64,31 @@ class Ssd
      * Synchronous variant for tests and recovery paths: process the
      * command immediately and return the completion tick.
      * @throws std::runtime_error on CmdStatus::MediaError.
+     * @throws std::invalid_argument on a zero-length Read or Write.
      */
     Tick submitSync(const Command &cmd);
+
+    /**
+     * An empty buffer for the next write command's payload. submit()
+     * keeps the largest payload buffer a write handed in, so a stream
+     * of writes reuses one allocation instead of making one each.
+     */
+    std::vector<SectorData>
+    takePayloadBuffer()
+    {
+        std::vector<SectorData> buf = std::move(spentPayload_);
+        buf.clear();
+        return buf;
+    }
+
+    /** takePayloadBuffer() for the per-unit OOB annotations. */
+    std::vector<OobEntry>
+    takeOobBuffer()
+    {
+        std::vector<OobEntry> buf = std::move(spentOob_);
+        buf.clear();
+        return buf;
+    }
 
     /**
      * Functional sector read with no timing (verification and
@@ -150,8 +175,16 @@ class Ssd
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
     Isce isce_;
-    std::multiset<Tick> inflightPrograms_;
-    std::multiset<Tick> inflightCommands_;
+    /** Completion ticks of in-flight programs and commands. Only the
+     *  earliest tick and the count are read, and equal ticks are
+     *  interchangeable, so a heap serves without a node per entry. */
+    using TickHeap = std::priority_queue<Tick, std::vector<Tick>,
+                                         std::greater<Tick>>;
+    TickHeap inflightPrograms_;
+    TickHeap inflightCommands_;
+    /** Largest write buffers handed in (takePayloadBuffer()). */
+    std::vector<SectorData> spentPayload_;
+    std::vector<OobEntry> spentOob_;
 
     /** In-flight completion slot: pooled so the scheduled event only
      *  captures {this, index} and stays inline. */

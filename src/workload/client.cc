@@ -58,7 +58,8 @@ ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
       gen_(spec, engine.config().recordCount),
       traffic_(traffic),
       opTarget_(spec.operationCount),
-      threads_(threads)
+      threads_(threads),
+      inflight_(threads)
 {
     for (std::uint32_t t = 0; t < threads_; ++t) {
         obs::nameLane(obs::Cat::Workload, t,
@@ -177,14 +178,24 @@ ClientPool::issueNext(std::uint32_t thread)
     // client-visible latency.
     const obs::OpToken tok =
         obs::attrBeginOp(opAttrClass(op.type), issued);
-    auto cb = [this, type = op.type, thread, issued,
-               tok](const QueryResult &res) {
-        obs::attrFinishOp(tok, res.done);
-        record(type, thread, issued, res);
-        issueNext(thread);
-    };
+    InFlight &f = inflight_[thread];
+    f.type = op.type;
+    f.start = issued;
+    f.tok = tok;
     obs::AttrOpScope attr_scope(tok);
-    issueToEngine(op, std::move(cb));
+    issueToEngine(op, [this, thread](const QueryResult &res) {
+        onClosedDone(thread, res);
+    });
+}
+
+void
+ClientPool::onClosedDone(std::uint32_t thread, const QueryResult &res)
+{
+    // Copy: issueNext() below reuses the slot.
+    const InFlight f = inflight_[thread];
+    obs::attrFinishOp(f.tok, res.done);
+    record(f.type, thread, f.start, res);
+    issueNext(thread);
 }
 
 // ----------------------------------------------------------------------
@@ -238,34 +249,39 @@ ClientPool::dispatch(std::uint32_t slot)
     stats_.queueDelay.record(issued > p.arrival ? issued - p.arrival
                                                 : 0);
     obs::attrMark(p.tok, obs::Stage::QueueDelay, issued);
-    auto cb = [this, type = p.op.type, slot, arrival = p.arrival,
-               tenant = p.tenant, tok = p.tok](
-                  const QueryResult &res) {
-        obs::attrFinishOp(tok, res.done);
-        // Latency from arrival: queue delay included.
-        record(type, slot, arrival, res);
-        if (tenant < stats_.tenants.size()) {
-            TenantStats &ts = stats_.tenants[tenant];
-            const Tick lat =
-                res.done > arrival ? res.done - arrival : 0;
-            ts.latency.record(lat);
-            ++ts.opsCompleted;
-            const bool violated =
-                ts.sloLatency > 0 && lat > ts.sloLatency;
-            if (violated) {
-                ++ts.sloViolations;
-                ++stats_.sloViolations;
-            }
-            if (telem_ != nullptr && ts.sloLatency > 0)
-                telem_->noteSloResult(res.done, violated);
-        }
-        if (!queue_.empty())
-            dispatch(slot);
-        else
-            freeSlots_.push_back(slot);
-    };
+    inflight_[slot] = InFlight{p.op.type, p.arrival, p.tok, p.tenant};
     obs::AttrOpScope attr_scope(p.tok);
-    issueToEngine(p.op, std::move(cb));
+    issueToEngine(p.op, [this, slot](const QueryResult &res) {
+        onOpenDone(slot, res);
+    });
+}
+
+void
+ClientPool::onOpenDone(std::uint32_t slot, const QueryResult &res)
+{
+    // Copy: dispatch() below reuses the slot.
+    const InFlight f = inflight_[slot];
+    const Tick arrival = f.start;
+    obs::attrFinishOp(f.tok, res.done);
+    // Latency from arrival: queue delay included.
+    record(f.type, slot, arrival, res);
+    if (f.tenant < stats_.tenants.size()) {
+        TenantStats &ts = stats_.tenants[f.tenant];
+        const Tick lat = res.done > arrival ? res.done - arrival : 0;
+        ts.latency.record(lat);
+        ++ts.opsCompleted;
+        const bool violated = ts.sloLatency > 0 && lat > ts.sloLatency;
+        if (violated) {
+            ++ts.sloViolations;
+            ++stats_.sloViolations;
+        }
+        if (telem_ != nullptr && ts.sloLatency > 0)
+            telem_->noteSloResult(res.done, violated);
+    }
+    if (!queue_.empty())
+        dispatch(slot);
+    else
+        freeSlots_.push_back(slot);
 }
 
 void

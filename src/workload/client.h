@@ -20,7 +20,6 @@
 #define CHECKIN_WORKLOAD_CLIENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -29,6 +28,7 @@
 #include "engine/storage_engine.h"
 #include "sim/event_queue.h"
 #include "sim/histogram.h"
+#include "sim/ring_queue.h"
 #include "sim/sim_context.h"
 #include "workload/traffic.h"
 #include "workload/ycsb.h"
@@ -138,7 +138,7 @@ class ClientPool
     void setSampler(Sampler s) { sampler_ = std::move(s); }
 
   private:
-    /** An arrival waiting for (or holding) a service slot. */
+    /** An arrival waiting for a service slot (open loop). */
     struct PendingOp
     {
         WorkloadGenerator::Op op;
@@ -147,13 +147,29 @@ class ClientPool
         std::uint32_t tenant = 0;
     };
 
+    /**
+     * The op a thread (closed loop) or service slot (open loop) has
+     * in the engine. Keeping it here lets the engine continuation
+     * capture only {this, slot}, which std::function stores inline.
+     */
+    struct InFlight
+    {
+        WorkloadGenerator::OpType type = WorkloadGenerator::OpType::Read;
+        /** Issue tick (closed loop) or arrival tick (open loop). */
+        Tick start = 0;
+        obs::OpToken tok = obs::kNoOpToken;
+        std::uint32_t tenant = 0;
+    };
+
     void issueNext(std::uint32_t thread);
+    void onClosedDone(std::uint32_t thread, const QueryResult &res);
     void record(WorkloadGenerator::OpType type, std::uint32_t thread,
                 Tick issued, const QueryResult &res);
 
     void scheduleNextArrival();
     void onArrival();
     void dispatch(std::uint32_t slot);
+    void onOpenDone(std::uint32_t slot, const QueryResult &res);
     void issueToEngine(const WorkloadGenerator::Op &op,
                        StorageEngine::QueryCb cb);
 
@@ -165,6 +181,8 @@ class ClientPool
     std::uint64_t opsIssued_ = 0;
     std::uint32_t threads_;
     ClientStats stats_;
+    /** One entry per thread (closed) or service slot (open). */
+    std::vector<InFlight> inflight_;
     Sampler sampler_;
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
@@ -175,7 +193,7 @@ class ClientPool
     /** Flash-crowd key picker: the workload's mix over the `latest`
      *  distribution, on its own deterministic stream. */
     std::unique_ptr<WorkloadGenerator> flashGen_;
-    std::deque<PendingOp> queue_;
+    RingQueue<PendingOp> queue_;
     std::vector<std::uint32_t> freeSlots_;
 };
 

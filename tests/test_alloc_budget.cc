@@ -1,0 +1,145 @@
+/**
+ * @file
+ * Per-op allocation budget of the simulated stack.
+ *
+ * Every simulated op runs client -> engine -> journal group commit ->
+ * SSD/ISCE -> FTL. None of that path may heap-allocate for state the
+ * simulation does not keep: callbacks store inline, scratch buffers
+ * are reused, counters are interned handles (docs/PERF.md, "Per-op
+ * allocation budget"). What remains per op is simulated state, such
+ * as NAND page contents and journal-mapping-table nodes.
+ *
+ * alloc_counter.cc replaces the global operator new/delete with
+ * counting wrappers, so these tests build into a binary of their own.
+ * Allocations per op are (full run - set-up-only run) / ops, the
+ * method perfbench uses for sim.allocs_per_op. The runs are short
+ * versions of perfbench's workloads on the Check-In backend.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "cluster/cluster.h"
+#include "harness/experiment.h"
+#include "harness/presets.h"
+#include "sim/inline_event.h"
+
+namespace checkin {
+
+/** Global operator new calls so far (alloc_counter.cc). */
+std::uint64_t allocCount();
+
+namespace {
+
+/**
+ * Allocations per op of running @p cfg through @p run: a full run
+ * minus a set-up-only run (operationCount = 0), over the op count.
+ * Also checks that no callback spilled out of its inline storage.
+ */
+template <typename Config, typename Run>
+double
+allocsPerOp(const Config &cfg, Run run)
+{
+    Config setup = cfg;
+    setup.workload.operationCount = 0;
+    const std::uint64_t fallbacks0 = InlineCallback::heapFallbacks();
+    std::uint64_t a0 = allocCount();
+    run(setup);
+    const double setup_allocs = double(allocCount() - a0);
+    a0 = allocCount();
+    run(cfg);
+    const double full_allocs = double(allocCount() - a0);
+    EXPECT_EQ(InlineCallback::heapFallbacks(), fallbacks0)
+        << "a callback spilled to the heap";
+    return (full_allocs - setup_allocs) /
+           double(cfg.workload.operationCount);
+}
+
+/** One paper-scale Check-In node with 32 closed-loop clients. */
+ExperimentConfig
+checkInNode(WorkloadSpec spec, std::uint64_t records, std::uint64_t ops)
+{
+    ExperimentConfig c = presets::paper();
+    c.engine.backend = EngineBackend::CheckIn;
+    c.engine.mode = CheckpointMode::CheckIn;
+    c.engine.checkpointPolicy = CheckpointPolicyKind::Fixed;
+    c.engine.recordCount = records;
+    c.threads = 32;
+    c.workload = std::move(spec);
+    c.workload.seed = 7;
+    c.workload.operationCount = ops;
+    c.seed = 11;
+    return c;
+}
+
+double
+nodeAllocsPerOp(const ExperimentConfig &cfg)
+{
+    return allocsPerOp(cfg, [](const ExperimentConfig &c) {
+        const RunResult r = runExperiment(c);
+        EXPECT_EQ(r.client.opsCompleted, c.workload.operationCount);
+    });
+}
+
+// Each bound sits 20-40% above the value measured when the budget was
+// introduced (0.45, 0.07, 0.37 and 0.24 per op, gcc 12 and libstdc++).
+// Before it, the same runs allocated 8 to 15 times per op.
+
+TEST(AllocBudget, WriteOnlyClosedLoop)
+{
+    // The store fits the data cache: GC, remaps and checkpoints run.
+    EXPECT_LE(nodeAllocsPerOp(checkInNode(WorkloadSpec::wo(), 4000,
+                                          200'000)),
+              0.55);
+}
+
+TEST(AllocBudget, YcsbBClosedLoop)
+{
+    // 20k records exceed the data cache: the read path works.
+    EXPECT_LE(nodeAllocsPerOp(checkInNode(WorkloadSpec::b(), 20000,
+                                          200'000)),
+              0.1);
+}
+
+TEST(AllocBudget, YcsbAOpenLoopMmppAdaptive)
+{
+    ExperimentConfig c = checkInNode(WorkloadSpec::a(), 4000, 150'000);
+    c.engine.checkpointPolicy = CheckpointPolicyKind::Adaptive;
+    TrafficSpec &t = c.traffic;
+    t.mode = LoopMode::Open;
+    t.process = ArrivalProcess::Mmpp;
+    t.offeredOpsPerSec = 7'500.0;
+    t.burstMultiplier = 4.0;
+    t.meanBaseDwell = 160 * kMsec;
+    t.meanBurstDwell = 40 * kMsec;
+    TenantSpec tenant;
+    tenant.name = "slo2ms";
+    tenant.share = 1.0;
+    tenant.sloLatency = 2 * kMsec;
+    t.tenants = {tenant};
+    EXPECT_LE(nodeAllocsPerOp(c), 0.45);
+}
+
+TEST(AllocBudget, TwoShardCluster)
+{
+    ClusterConfig c;
+    c.shard = presets::paper();
+    c.shard.engine.recordCount = 4000;
+    c.shardCount = 2;
+    c.clients = 32;
+    c.workload = WorkloadSpec::a();
+    c.workload.seed = 7;
+    c.workload.operationCount = 100'000;
+    c.seed = 11;
+    EXPECT_LE(allocsPerOp(c,
+                          [](const ClusterConfig &cc) {
+                              const ClusterResult r = runCluster(cc);
+                              EXPECT_EQ(r.router.opsCompleted,
+                                        cc.workload.operationCount);
+                          }),
+              0.3);
+}
+
+} // namespace
+} // namespace checkin

@@ -26,10 +26,11 @@ namespace checkin {
 namespace {
 
 EngineConfig
-engineCfg(EngineBackend backend)
+engineCfg(EngineBackend backend, bool lock_queries = false)
 {
     EngineConfig c;
     c.backend = backend;
+    c.lockQueriesDuringCheckpoint = lock_queries;
     c.recordCount = 200;
     c.maxValueBytes = 2048;
     c.journalHalfBytes = kMiB;
@@ -51,8 +52,8 @@ struct ConformanceRig
     /** Last version whose commit callback fired, per key. */
     std::map<std::uint64_t, std::uint32_t> committed;
 
-    explicit ConformanceRig(EngineBackend b)
-        : node(ctx, stackConfig(engineCfg(b)))
+    explicit ConformanceRig(EngineBackend b, bool lock_queries = false)
+        : node(ctx, stackConfig(engineCfg(b, lock_queries)))
     {
         node.load([](std::uint64_t) { return 256u; });
         for (std::uint64_t k = 0; k < 200; ++k)
@@ -148,6 +149,68 @@ TEST_P(EngineConformance, EraseHidesKeyFromGetAndScan)
     rig.eq.run();
     EXPECT_TRUE(found);
     rig.engine().verifyAllKeys();
+}
+
+// ---------------------------------------------------------------------
+// Queries locked out by a running checkpoint
+// ---------------------------------------------------------------------
+
+TEST_P(EngineConformance, LockedModeDefersEveryQueryKindInIssueOrder)
+{
+    ConformanceRig rig(GetParam(), /*lock_queries=*/true);
+    StorageEngine &eng = rig.engine();
+    for (std::uint64_t k = 0; k < 40; ++k)
+        eng.update(k, 512, [](const QueryResult &) {});
+    rig.eq.run();
+    const Tick ckpt_start = rig.eq.now();
+    eng.requestCheckpoint();
+    ASSERT_TRUE(eng.checkpointInProgress());
+    const std::size_t ckpts = eng.checkpointDurations().size();
+
+    // Every query kind, issued while the checkpoint runs. Key 50 is
+    // updated, then erased; key 51 is erased, then rewritten by the
+    // batch, which also deletes key 52. Only issue order yields the
+    // final state checked below.
+    std::vector<int> fired(6, 0);
+    std::uint32_t scanned = 0;
+    const auto expect_after_ckpt = [&](int op) {
+        return [&, op](const QueryResult &r) {
+            ++fired[op];
+            ASSERT_GT(eng.checkpointDurations().size(), ckpts)
+                << "op " << op << " completed inside the checkpoint";
+            EXPECT_GE(r.done,
+                      ckpt_start + eng.checkpointDurations()[ckpts])
+                << "op " << op;
+            if (op == 4)
+                scanned = r.scanned;
+        };
+    };
+    eng.get(3, expect_after_ckpt(0));
+    eng.update(50, 1024, expect_after_ckpt(1));
+    eng.erase(50, expect_after_ckpt(2));
+    eng.erase(51, expect_after_ckpt(3));
+    eng.scan(0, 8, expect_after_ckpt(4));
+    // Its task is larger than an inline callback: the deferral queue
+    // must carry it too.
+    eng.updateBatch({{51, 768}, {52, 0}}, expect_after_ckpt(5));
+    rig.eq.run();
+    EXPECT_EQ(fired, std::vector<int>(6, 1));
+    EXPECT_EQ(scanned, 8u);
+
+    EXPECT_EQ(eng.committedVersion(50), 3u);
+    EXPECT_EQ(eng.committedVersion(51), 3u);
+    EXPECT_EQ(eng.committedVersion(52), 2u);
+    const auto found = [&](std::uint64_t key) {
+        bool f = false;
+        eng.get(key, [&f](const QueryResult &r) { f = r.found; });
+        rig.eq.run();
+        return f;
+    };
+    EXPECT_TRUE(found(3));
+    EXPECT_FALSE(found(50)) << "erase ran before the update";
+    EXPECT_TRUE(found(51)) << "batch ran before the erase";
+    EXPECT_FALSE(found(52));
+    EXPECT_NO_THROW(eng.verifyAllKeys());
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -73,6 +74,31 @@ TEST_F(SsdTest, WriteThenReadCompletesViaEventQueue)
     ssd_->peek(0, 8, out.data());
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(out[i], sector(1 + i));
+}
+
+TEST_F(SsdTest, ZeroLengthReadAndWriteAreRejected)
+{
+    // A zero-length range has no last sector. The FTL's range math
+    // wraps on it: at lba 0 it walks ~2^61 units, at a unit-aligned
+    // nonzero lba it does nothing. Both must be rejected.
+    for (const Lba lba : {Lba(0), Lba(8)}) {
+        SCOPED_TRACE(lba);
+        EXPECT_THROW(ssd_->submitSync(Command::read(lba, 0)),
+                     std::invalid_argument);
+        EXPECT_THROW(ssd_->submitSync(
+                         Command::write(lba, {}, IoCause::Query)),
+                     std::invalid_argument);
+        EXPECT_THROW(ssd_->submit(Command::read(lba, 0),
+                                  [](const CmdResult &) {}),
+                     std::invalid_argument);
+        EXPECT_THROW(ssd_->submit(Command::write(lba, {}, IoCause::Query),
+                                  [](const CmdResult &) {}),
+                     std::invalid_argument);
+    }
+    // Rejected before the device did anything.
+    EXPECT_EQ(eq_.pending(), 0u);
+    EXPECT_EQ(ssd_->stats().get("ssd.cmd.read"), 0u);
+    EXPECT_EQ(ssd_->stats().get("ssd.cmd.write"), 0u);
 }
 
 TEST_F(SsdTest, CompletionsAreOrderedPerResource)
