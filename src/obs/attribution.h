@@ -17,7 +17,7 @@
  *  - With no collector installed — or a disabled one — every probe is
  *    a single pointer + flag check: no token is acquired, nothing
  *    allocates, and storageBytes()/poolSize() stay 0 (asserted in
- *    tests/test_obs.cc and bench_kernel).
+ *    tests/test_obs.cc).
  *  - Tokens are pooled indices: an op acquires a pooled OpTimeline
  *    slot at issue and releases it at finish, so steady state does
  *    zero allocations beyond the high-water pool.

@@ -31,7 +31,7 @@
  * (from their SimContext) and every note is a pointer + flag check; a
  * disabled sampler registers no probes, allocates nothing, and the
  * event queue pays one always-false compare per dispatch
- * (bench_kernel gates this).
+ * (tests/test_telemetry.cc and tests/test_alloc_budget.cc gate this).
  */
 
 #ifndef CHECKIN_OBS_TELEMETRY_H_

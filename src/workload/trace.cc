@@ -109,6 +109,10 @@ TraceReplayer::TraceReplayer(SimContext &ctx, StorageEngine &engine,
       trace_(trace),
       threads_(threads)
 {
+    if (threads_ == 0 && trace_.size() > 0) {
+        throw std::invalid_argument(
+            "trace replay needs at least one client thread");
+    }
 }
 
 void

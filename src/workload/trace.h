@@ -80,6 +80,9 @@ class SimContext;
 class TraceReplayer
 {
   public:
+    /** Throws std::invalid_argument for 0 threads and a non-empty
+     *  trace: nothing would issue, and the engine's checkpoint timer
+     *  would keep the event queue running forever. */
     TraceReplayer(SimContext &ctx, StorageEngine &engine,
                   const Trace &trace, std::uint32_t threads);
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Counting replacements of the global operator new/delete for the
- * allocation-budget tests (test_alloc_budget.cc). They live in their
- * own translation unit so that no caller sees them inline.
+ * allocation-budget tests (test_alloc_budget.cc) and bench_kernel.
+ * They live in their own translation unit so that no caller sees them
+ * inline.
  */
 
 #include <atomic>

@@ -13,7 +13,8 @@
  * counting wrappers, so these tests build into a binary of their own.
  * Allocations per op are (full run - set-up-only run) / ops, the
  * method perfbench uses for sim.allocs_per_op. The runs are short
- * versions of perfbench's workloads on the Check-In backend.
+ * versions of perfbench's workloads on the Check-In backend. The same
+ * counter also gates the event kernel's disarmed step hook.
  */
 
 #include <gtest/gtest.h>
@@ -21,15 +22,13 @@
 #include <cstdint>
 
 #include "cluster/cluster.h"
+#include "event_storm.h"
 #include "harness/experiment.h"
 #include "harness/presets.h"
+#include "sim/event_queue.h"
 #include "sim/inline_event.h"
 
 namespace checkin {
-
-/** Global operator new calls so far (alloc_counter.cc). */
-std::uint64_t allocCount();
-
 namespace {
 
 /**
@@ -139,6 +138,21 @@ TEST(AllocBudget, TwoShardCluster)
                                         cc.workload.operationCount);
                           }),
               0.3);
+}
+
+TEST(AllocBudget, DisarmedStepHookChangesNoDispatchOrAllocation)
+{
+    // The telemetry sampler installs a step hook; disarmed, it is one
+    // always-false compare. The same event storm with and without it
+    // must dispatch and allocate identically.
+    const KernelRun plain = driveKernel<EventQueue>(200'000, 7);
+    const KernelRun hooked =
+        driveKernel<EventQueue>(200'000, 7, [](EventQueue &q) {
+            q.installStepHook([](void *, Tick) {}, nullptr);
+        });
+    EXPECT_EQ(plain.dispatched, 200'000u);
+    EXPECT_EQ(hooked.dispatched, plain.dispatched);
+    EXPECT_EQ(hooked.allocs, plain.allocs);
 }
 
 } // namespace

@@ -57,11 +57,11 @@ TEST(FixedPolicy, MatchesTheHistoricalPredicates)
 
 /**
  * Golden equivalence with the pre-policy inline trigger: these are
- * the exact counters the seed produced for `ycsb_run checkin a 32
- * 20000` before the trigger was extracted into a policy object. The
- * FixedPolicy path evaluates the same predicates at the same ticks
- * with no extra events or RNG draws, so every one of them must still
- * match to the integer.
+ * the exact counters the seed produced for `checkin_cli --mode checkin
+ * --workload a --threads 32 --ops 20000` before the trigger was
+ * extracted into a policy object. The FixedPolicy path evaluates the
+ * same predicates at the same ticks with no extra events or RNG
+ * draws, so every one of them must still match to the integer.
  */
 TEST(FixedPolicy, CheckinGoldenRunIsBitIdenticalToInlineTrigger)
 {

@@ -19,6 +19,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/inline_event.h"
 #include "sim/stats.h"
 
 namespace checkin {
@@ -334,6 +335,30 @@ TEST(ObsRun, DisabledAttributionAllocatesNoStorageOrTokens)
     EXPECT_EQ(attr.storageBytes(), 0u);
     EXPECT_FALSE(r.attribution.enabled);
     EXPECT_TRUE(r.checkpointTimeline.empty());
+}
+
+TEST(ObsRun, PaperRunsKeepCallbacksInlineAndDisabledAttributionUntouched)
+{
+    // Whole paper-scale YCSB-WO runs issue every command type: an
+    // event or completion callback that outgrows its inline buffer
+    // shows up as a heap fallback. The installed but disabled
+    // collector must see no token, pool slot or byte in either mode.
+    obs::AttributionCollector attr;
+    obs::AttributionScope scope(&attr);
+    const std::uint64_t fallbacks = InlineCallback::heapFallbacks();
+    ExperimentConfig cfg = presets::paper();
+    cfg.workload = WorkloadSpec::wo();
+    cfg.workload.distribution = Distribution::Zipfian;
+    cfg.workload.operationCount = 5'000;
+    for (const CheckpointMode mode :
+         {CheckpointMode::Baseline, CheckpointMode::CheckIn}) {
+        cfg.engine.mode = mode;
+        EXPECT_EQ(runExperiment(cfg).client.opsCompleted, 5'000u);
+    }
+    EXPECT_EQ(InlineCallback::heapFallbacks(), fallbacks);
+    EXPECT_EQ(attr.poolSize(), 0u);
+    EXPECT_EQ(attr.liveTokens(), 0u);
+    EXPECT_EQ(attr.storageBytes(), 0u);
 }
 
 TEST(ObsRun, ArtifactBundleIsWrittenToDisk)

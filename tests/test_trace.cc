@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
@@ -144,6 +145,20 @@ TEST(TraceReplay, SameTraceSameFinalStateAcrossModes)
                 << "mode " << int(mode) << " diverged";
         s.engine().verifyAllKeys();
     }
+}
+
+TEST(TraceReplay, ZeroThreadsIsRejectedInsteadOfSpinning)
+{
+    // No thread would issue an op, and the checkpoint timer keeps the
+    // event queue busy, so done() could never become true.
+    Stack s(CheckpointMode::CheckIn);
+    const Trace t = Trace::generate(WorkloadSpec::a(), 300, 10);
+    EXPECT_THROW(TraceReplayer(s.ctx, s.engine(), t, 0),
+                 std::invalid_argument);
+    // An empty trace is already done, with or without threads.
+    const Trace empty;
+    TraceReplayer idle(s.ctx, s.engine(), empty, 0);
+    EXPECT_TRUE(idle.done());
 }
 
 TEST(TraceReplay, HandlesDeletesInTrace)
