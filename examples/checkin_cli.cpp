@@ -1065,9 +1065,20 @@ traceReplay(const Options &o)
     const std::optional<Trace> trace = loadTrace(o.path);
     if (!trace)
         return 1;
-    std::uint64_t max_key = 0;
-    for (const auto &op : trace->ops())
-        max_key = std::max(max_key, op.key);
+    const auto &ops = trace->ops();
+    const auto top = std::max_element(
+        ops.begin(), ops.end(),
+        [](const auto &a, const auto &b) { return a.key < b.key; });
+    const std::uint64_t max_key = top == ops.end() ? 0 : top->key;
+    // The store holds keys [0, max key]; its size must not wrap.
+    constexpr std::uint64_t kMaxKey =
+        std::numeric_limits<std::uint64_t>::max() - 1;
+    if (max_key > kMaxKey) {
+        throw std::invalid_argument(
+            "trace op " + std::to_string(top - ops.begin() + 1) +
+            ": key " + std::to_string(max_key) + " is above " +
+            std::to_string(kMaxKey) + ", the largest a store can hold");
+    }
 
     ExperimentConfig cfg = o.node;
     cfg.engine.recordCount = max_key + 1;

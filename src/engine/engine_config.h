@@ -142,14 +142,6 @@ struct EngineConfig
     /** Host-side CPU latency added to every query. */
     Tick hostCpuPerQuery = 1 * kUsec;
 
-    /**
-     * Host-side value cache (the block management engine's in-memory
-     * data, paper Fig 1), in bytes of cached value payload. GET hits
-     * complete without touching the device. 0 disables the cache
-     * (the default: the paper's evaluation is storage-bound).
-     */
-    std::uint64_t hostCacheBytes = 0;
-
     /** Max updates flushed in one group commit. */
     std::uint32_t maxCommitGroup = 256;
 

@@ -35,7 +35,6 @@ KvEngine::KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
       layout_(DiskLayout::compute(cfg, ssd.capacitySectors(),
                                   ssd.ftl().sectorsPerUnit())),
       keymap_(cfg.recordCount),
-      hostCache_(cfg.hostCacheBytes),
       journal_(ctx, ssd, layout_, cfg_, stats_),
       strategy_(CheckpointStrategy::create(ssd, layout_, cfg_,
                                            stats_)),
@@ -290,16 +289,6 @@ KvEngine::doGet(std::uint64_t key, QueryCb cb)
         return;
     }
     verifyKeyContent(key, st);
-    if (hostCache_.lookup(key, st.version)) {
-        // Served from the block management engine's memory.
-        sHostCacheHits_.add();
-        eq_.scheduleAfter(0, [this, cb = std::move(cb),
-                              ckpt_at_submit] {
-            cb(QueryResult{eq_.now(),
-                           ckpt_at_submit || ckptInProgress_, true});
-        });
-        return;
-    }
     Lba lba;
     std::uint32_t shift = 0;
     if (st.inJournal) {
@@ -311,8 +300,6 @@ KvEngine::doGet(std::uint64_t key, QueryCb cb)
     }
     const auto nsect = std::uint32_t(
         divCeil(shift + st.storedChunks, kChunksPerSector));
-    hostCache_.insert(key, st.version,
-                      st.storedChunks * kChunkBytes);
     ssd_.submit(Command::read(lba, nsect, IoCause::Query),
                 [this, cb = std::move(cb),
                  ckpt_at_submit](const CmdResult &r) {
@@ -344,7 +331,6 @@ KvEngine::doUpdate(std::uint64_t key, std::uint32_t value_bytes,
             }
             sUpdates_.add();
             sUpdateBytes_.add(e.payloadBytes);
-            hostCache_.insert(key, e.version, e.chunks * kChunkBytes);
             noteJournalAppend();
             cb(QueryResult{done,
                            ckpt_at_submit || ckptInProgress_, true});
@@ -388,12 +374,6 @@ KvEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
                         st.inJournal = true;
                         st.half = e.half;
                         st.journalChunk = e.chunkOff;
-                        if (e.payloadBytes == 0) {
-                            hostCache_.erase(e.key);
-                        } else {
-                            hostCache_.insert(e.key, e.version,
-                                              e.chunks * kChunkBytes);
-                        }
                     }
                     txn->last = std::max(txn->last, done);
                     if (--txn->outstanding == 0) {
@@ -434,7 +414,6 @@ KvEngine::doErase(std::uint64_t key, QueryCb cb)
                 st.journalChunk = e.chunkOff;
             }
             sDeletes_.add();
-            hostCache_.erase(key);
             noteJournalAppend();
             cb(QueryResult{done,
                            ckpt_at_submit || ckptInProgress_, true});

@@ -17,7 +17,6 @@
 #include "engine/checkpoint.h"
 #include "engine/checkpoint_policy.h"
 #include "engine/engine_config.h"
-#include "engine/host_cache.h"
 #include "engine/journal.h"
 #include "engine/keymap.h"
 #include "engine/layout.h"
@@ -194,7 +193,6 @@ class KvEngine : public StorageEngine
     EngineConfig cfg_;
     DiskLayout layout_;
     Keymap keymap_;
-    HostCache hostCache_;
     StatRegistry stats_;
     JournalManager journal_;
     std::unique_ptr<CheckpointStrategy> strategy_;
@@ -218,7 +216,6 @@ class KvEngine : public StorageEngine
     // Per-op and per-entry counters, interned on their first add.
     StatHandle sGets_{stats_, "engine.gets"};
     StatHandle sGetMisses_{stats_, "engine.getMisses"};
-    StatHandle sHostCacheHits_{stats_, "engine.hostCacheHits"};
     StatHandle sGetsFromJournal_{stats_, "engine.getsFromJournal"};
     StatHandle sUpdates_{stats_, "engine.updates"};
     StatHandle sUpdateBytes_{stats_, "engine.updateBytes"};

@@ -44,11 +44,11 @@ Ftl::Ftl(NandFlash &nand, const FtlConfig &cfg)
     : nand_(nand),
       cfg_(cfg),
       layout_(nand.config()),
+      pageSeq_(nand.config().totalPages(), 0),
       bm_(nand.config().totalBlocks(),
           nand.config().pagesPerBlock *
               (nand.config().pageBytes / cfg.mappingUnitBytes),
-          nand.config().dieCount()),
-      pageSeq_(nand.config().totalPages(), 0)
+          nand.config().dieCount())
 {
     const NandConfig &nc = nand_.config();
     if (cfg_.mappingUnitBytes % kSectorBytes != 0 ||
@@ -207,24 +207,9 @@ Ftl::programOpenPage(Stream stream, std::uint32_t die, Tick earliest)
     assert(op.ppn != kInvalidAddr);
     const Ppn ppn = op.ppn;
 
-    PageContent content;
-    content.slotTokens.reserve(slotsPerPage_ * sectorsPerUnit_ *
-                               kChunksPerSector);
-    content.oob.reserve(slotsPerPage_);
-    for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
-        const SlotId slot = slotOf(ppn, s);
-        content.oob.push_back(slotOob_[slot]);
-        for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k) {
-            for (std::uint64_t c :
-                 sectors_[slot * sectorsPerUnit_ + k].chunks) {
-                content.slotTokens.push_back(c);
-            }
-        }
-    }
+    // The page's slots already hold what it programs (the image).
     pageSeq_[ppn] = nextProgramSeq_++;
-    content.seq = pageSeq_[ppn];
-    const NandResult done =
-        nand_.program(ppn, std::move(content), earliest);
+    const NandResult done = nand_.program(ppn, earliest);
     // Request-to-completion view of sealing the open page (the die
     // lanes in Cat::Nand show the physical occupancy).
     obs::span(obs::Cat::Ftl, kFtlLane + 1 + die, "ftl.program",
@@ -235,10 +220,10 @@ Ftl::programOpenPage(Stream stream, std::uint32_t die, Tick earliest)
     op.nextSlot = 0;
 
     if (!done.ok()) {
-        // tPROG failure. The page's data still sits in the
-        // SPOR-protected buffer (the shadows), so nothing is lost;
-        // the page itself is consumed and unreadable, and the whole
-        // block leaves circulation.
+        // tPROG failure. The page's data still sits in its slots,
+        // the SPOR-protected buffer, for the rescue below; sequence
+        // 0 marks the consumed page unreadable, and the whole block
+        // leaves circulation.
         pageSeq_[ppn] = 0;
         stats_.add("ftl.programFails");
         handleProgramFail(ppn, done.tick);
@@ -267,12 +252,12 @@ Ftl::handleProgramFail(Ppn failed_ppn, Tick now)
     obs::instant(obs::Cat::Ftl, kFtlLane, "ftl.badBlock", now,
                  {{"pbn", bad}, {"ppn", failed_ppn}});
 
-    // Rescue every live slot of the retired block. The sector/OOB
-    // shadows mirror what was (or was about to be) programmed, so
-    // the rewrite sources from the SPOR-protected buffer; pages
-    // other than the failed one charge a NAND read like GC
-    // migration. A nested program failure during migration retires
-    // another block and terminates the same way.
+    // Rescue every live slot of the retired block. The slots still
+    // hold what was (or was about to be) programmed, so the rewrite
+    // sources from the SPOR-protected buffer; pages other than the
+    // failed one charge a NAND read like GC migration. A nested
+    // program failure during migration retires another block and
+    // terminates the same way.
     const Ppn first = layout_.firstPpnOfBlock(bad);
     Tick last_read = now;
     for (std::uint32_t p = 0; p < nc.pagesPerBlock; ++p) {
@@ -356,7 +341,7 @@ Ftl::allocateSlot(Stream stream, Tick earliest)
         }
         const SlotId slot = slotOf(op.ppn, op.nextSlot);
         ++op.nextSlot;
-        // Fresh slot: wipe stale shadow left from before the erase.
+        // Fresh slot: wipe what it held before the erase.
         slotInfo_[slot] = SlotInfo{};
         refOverflow_.erase(slot);
         slotOob_[slot] = OobEntry{};
@@ -733,7 +718,7 @@ Ftl::reclaimBlock(Pbn victim, Tick earliest)
             continue;
         if (!isCached(ppn)) {
             // Device-internal read: an uncorrectable result is
-            // recovered from the shadows (counted, not surfaced).
+            // recovered from the slots (counted, not surfaced).
             const NandResult r = nand_.read(ppn, earliest);
             last_read = std::max(last_read, r.tick);
             if (!r.ok())
@@ -745,7 +730,7 @@ Ftl::reclaimBlock(Pbn victim, Tick earliest)
             if (slotInfo_[old_slot].nrefs == 0)
                 continue;
             // Snapshot payload + references before allocateSlot can
-            // wipe shadows.
+            // wipe slots.
             std::vector<SectorData> &payload = gcPayload_;
             payload.assign(sectors_.begin() + old_slot * sectorsPerUnit_,
                            sectors_.begin() +
@@ -833,11 +818,20 @@ Ftl::wearLevelOnce(Tick now)
 void
 Ftl::flushOpenPages(Tick now)
 {
+    // A failed program rescues its slots into fresh GC pages, which
+    // may open on a die this sweep has passed: sweep until none is
+    // left open.
     const std::uint32_t dies = bm_.dieCount();
-    for (std::uint32_t s = 0; s < kStreamCount; ++s) {
-        for (std::uint32_t d = 0; d < dies; ++d) {
-            if (open_[std::size_t(s) * dies + d].ppn != kInvalidAddr)
-                programOpenPage(Stream(s), d, now);
+    for (bool programmed = true; programmed;) {
+        programmed = false;
+        for (std::uint32_t s = 0; s < kStreamCount; ++s) {
+            for (std::uint32_t d = 0; d < dies; ++d) {
+                if (open_[std::size_t(s) * dies + d].ppn !=
+                    kInvalidAddr) {
+                    programOpenPage(Stream(s), d, now);
+                    programmed = true;
+                }
+            }
         }
     }
 }
@@ -871,12 +865,12 @@ Ftl::rebuildFromPowerLoss()
     }
     bm_.resetForRebuild(erase_counts, closed, bad);
 
-    // 3. Restore the sector/OOB shadows from NAND and collect every
-    //    readable slot with its replay rank: host-write order first
-    //    (program order lies across the power cut — the capacitor
-    //    flush seals per-die open pages in die order, not write
-    //    order), program order second so that after an erase failure
-    //    the migrated copy of a write beats its stale original.
+    // 3. Read the image in place and collect every readable slot
+    //    with its replay rank: host-write order first (program order
+    //    lies across the power cut — the capacitor flush seals
+    //    per-die open pages in die order, not write order), program
+    //    order second so that after an erase failure the migrated
+    //    copy of a write beats its stale original.
     struct Replay
     {
         std::uint64_t writeSeq;
@@ -895,54 +889,26 @@ Ftl::rebuildFromPowerLoss()
     };
     std::vector<Replay> ordered;
     for (Ppn p = 0; p < nc.totalPages(); ++p) {
-        if (!nand_.isProgrammed(p)) {
-            for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
-                const SlotId slot = slotOf(p, s);
-                slotOob_[slot] = OobEntry{};
-                for (std::uint32_t k = 0; k < sectorsPerUnit_; ++k)
-                    sectors_[slot * sectorsPerUnit_ + k] =
-                        SectorData{};
-            }
+        const SlotId first = slotOf(p, 0);
+        if (!nand_.isProgrammed(p) || pageSeq_[p] == 0) {
+            // Open pages lost their buffer with the power, and a
+            // failed program left nothing readable: the slots read as
+            // empty and contribute no mappings.
+            std::fill_n(slotOob_.begin() + first, slotsPerPage_,
+                        OobEntry{});
+            std::fill_n(sectors_.begin() + first * sectorsPerUnit_,
+                        slotsPerPage_ * sectorsPerUnit_, SectorData{});
             pageSeq_[p] = 0;
             continue;
         }
-        const PageContent &content = nand_.peek(p);
-        // A page whose program failed is consumed but holds nothing
-        // readable (empty tokens/OOB); its shadows reset like an
-        // unprogrammed page and it contributes no mappings.
-        const bool readable =
-            content.slotTokens.size() >=
-            std::size_t(slotsPerPage_) * sectorsPerUnit_ *
-                kChunksPerSector;
-        for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
-            const SlotId slot = slotOf(p, s);
-            slotOob_[slot] = s < content.oob.size()
-                                 ? content.oob[s]
-                                 : OobEntry{};
-            for (std::uint32_t k = 0;
-                 k < sectorsPerUnit_ * kChunksPerSector; ++k) {
-                sectors_[slot * sectorsPerUnit_ +
-                         k / kChunksPerSector]
-                    .chunks[k % kChunksPerSector] =
-                    readable
-                        ? content.slotTokens[(s * sectorsPerUnit_ *
-                                              kChunksPerSector) +
-                                             k]
-                        : 0;
+        for (SlotId slot = first; slot < first + slotsPerPage_;
+             ++slot) {
+            if (slotOob_[slot].lpn != kInvalidAddr) {
+                ordered.push_back(
+                    Replay{slotOob_[slot].writeSeq, pageSeq_[p], slot});
             }
         }
-        pageSeq_[p] = content.seq;
-        if (readable) {
-            for (std::uint32_t s = 0; s < slotsPerPage_; ++s) {
-                const SlotId slot = slotOf(p, s);
-                if (slotOob_[slot].lpn != kInvalidAddr) {
-                    ordered.push_back(Replay{
-                        slotOob_[slot].writeSeq, content.seq, slot});
-                }
-            }
-        }
-        nextProgramSeq_ =
-            std::max(nextProgramSeq_, content.seq + 1);
+        nextProgramSeq_ = std::max(nextProgramSeq_, pageSeq_[p] + 1);
     }
     std::sort(ordered.begin(), ordered.end());
 
@@ -1050,32 +1016,6 @@ Ftl::checkInvariants() const
     }
     if (bm_.totalValid() != total_live)
         fail("total valid mismatch");
-}
-
-std::vector<std::pair<Lpn, SlotId>>
-Ftl::scanOobMappings() const
-{
-    std::vector<std::pair<std::uint64_t, Ppn>> ordered;
-    for (Ppn p = 0; p < pageSeq_.size(); ++p) {
-        if (pageSeq_[p] != 0 && nand_.isProgrammed(p))
-            ordered.push_back({pageSeq_[p], p});
-    }
-    std::sort(ordered.begin(), ordered.end());
-    std::unordered_map<Lpn, SlotId> rebuilt;
-    for (const auto &[seq, ppn] : ordered) {
-        const PageContent &content = nand_.peek(ppn);
-        for (std::uint32_t s = 0;
-             s < content.oob.size() && s < slotsPerPage_; ++s) {
-            const OobEntry &e = content.oob[s];
-            if (e.lpn == kInvalidAddr)
-                continue;
-            rebuilt[e.lpn] = slotOf(ppn, s);
-        }
-    }
-    std::vector<std::pair<Lpn, SlotId>> out(rebuilt.begin(),
-                                            rebuilt.end());
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 } // namespace checkin

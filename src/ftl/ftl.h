@@ -186,13 +186,6 @@ class Ftl
         onProgram_ = std::move(obs);
     }
 
-    /**
-     * Diagnostic power-loss rebuild: scan OOB of all programmed pages
-     * in program order and return the recoverable LPN -> slot map.
-     * Does not mutate the FTL (SPOR makes the live tables durable).
-     */
-    std::vector<std::pair<Lpn, SlotId>> scanOobMappings() const;
-
     /** Force-program all partially-filled open pages (pads the rest). */
     void flushOpenPages(Tick now);
 
@@ -208,12 +201,13 @@ class Ftl
     /**
      * Device-level power-loss rebuild (paper §III-G): discard every
      * RAM structure (mapping table, block states, data cache) and
-     * reconstruct them by scanning the OOB of all programmed pages
-     * in program order. Write-origin mappings are restored directly;
-     * checkpoint remaps are restored from the journal slots' target
-     * annotations, newest version winning. Unprogrammed (open-page)
-     * data is lost — callers model SPOR capacitors by calling
-     * flushOpenPages() first.
+     * reconstruct them from the OOB of every programmed page of the
+     * flash image, replayed in host-write order. Write-origin
+     * mappings are restored directly; checkpoint remaps are restored
+     * from the journal slots' target annotations, newest version
+     * winning. Unprogrammed (open-page) data is lost — callers model
+     * SPOR capacitors by calling flushOpenPages() first — and a page
+     * whose program failed reads as empty.
      */
     RebuildReport rebuildFromPowerLoss();
 
@@ -330,8 +324,8 @@ class Ftl
     /**
      * Consequence of a program (tPROG) failure on @p failed_ppn:
      * retire the whole block, migrate its live slots to fresh slots
-     * (data comes from the SPOR-protected shadows, so nothing is
-     * lost), and record it in the persistent defect list.
+     * (data comes from the slots, the SPOR-protected buffer, so
+     * nothing is lost), and record it in the persistent defect list.
      */
     void handleProgramFail(Ppn failed_ppn, Tick now);
 
@@ -350,14 +344,33 @@ class Ftl
     std::uint32_t slotsPerPage_;
     std::uint64_t logicalUnits_;
 
+    // What survives a power cut. The three arrays are the flash
+    // image, the only copy of the simulated flash contents: the slots
+    // of a programmed page are its cells, and the slots of an open
+    // page are the SPOR-protected write buffer that flushOpenPages()
+    // programs. A slot is written once, while its page is open, and
+    // again only after its block's erase (allocateSlot()).
+    std::vector<SectorData> sectors_;  // per physical sector
+    std::vector<OobEntry> slotOob_;    // per physical slot
+    /** Program sequence per page, read while NAND reports the page
+     *  programmed; 0 there means the program failed: the page reads
+     *  as empty, though its slots keep the buffered data that the
+     *  bad-block rescue copies. */
+    std::vector<std::uint64_t> pageSeq_;
+    /** Firmware defect list (flash-resident in a real device): bad
+     *  blocks survive power loss and stay retired across rebuilds. */
+    std::vector<char> badBlock_;
+
+    // Controller RAM from here on, which a power cut loses:
+    // rebuildFromPowerLoss() discards the mapping, references, open
+    // pages, block states and caches and rebuilds what the device
+    // needs from the image. (Counters, the observer and the scratch
+    // buffers are simulator bookkeeping.)
     BlockManager bm_;
     std::vector<SlotId> map_;          // LPN -> slot (or kInvalidAddr)
     std::vector<SlotInfo> slotInfo_;   // per physical slot
     /** Rare >2-reference CoW chains: slot -> extra referencing LPNs. */
     std::unordered_map<SlotId, std::vector<Lpn>> refOverflow_;
-    std::vector<SectorData> sectors_;  // per physical sector shadow
-    std::vector<OobEntry> slotOob_;    // per physical slot OOB
-    std::vector<std::uint64_t> pageSeq_; // program sequence per page
     // open_[stream * dieCount + die]; rot_ rotates the target die.
     std::vector<OpenPage> open_;
     std::array<std::uint32_t, kStreamCount> rot_{};
@@ -370,9 +383,6 @@ class Ftl
     bool inGc_ = false;
     bool inMapFlush_ = false;
 
-    /** Firmware defect list (flash-resident in a real device): bad
-     *  blocks survive power loss and stay retired across rebuilds. */
-    std::vector<char> badBlock_;
     /** Uncorrectable host-path reads awaiting takeReadErrors(). */
     std::uint32_t pendingReadErrors_ = 0;
 

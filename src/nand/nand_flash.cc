@@ -12,8 +12,7 @@ namespace checkin {
 NandFlash::NandFlash(const NandConfig &cfg)
     : cfg_(cfg),
       layout_(cfg),
-      blocks_(cfg.totalBlocks()),
-      pages_(cfg.totalPages())
+      blocks_(cfg.totalBlocks())
 {
     dies_.reserve(cfg_.dieCount());
     for (std::uint32_t d = 0; d < cfg_.dieCount(); ++d)
@@ -53,9 +52,9 @@ NandFlash::channelOf(Ppn ppn)
 NandResult
 NandFlash::read(Ppn ppn, Tick earliest)
 {
-    assert(ppn < pages_.size());
-    stats_.add(sReads_);
     const Pbn pbn = ppn / cfg_.pagesPerBlock;
+    assert(pbn < blocks_.size());
+    stats_.add(sReads_);
     // Fault decision up front: retries extend the sensing phase, so
     // the die reservation must cover them before the channel starts.
     std::uint32_t retries = 0;
@@ -112,10 +111,10 @@ NandFlash::read(Ppn ppn, Tick earliest)
 }
 
 NandResult
-NandFlash::program(Ppn ppn, PageContent content, Tick earliest)
+NandFlash::program(Ppn ppn, Tick earliest)
 {
-    assert(ppn < pages_.size());
     const Pbn pbn = ppn / cfg_.pagesPerBlock;
+    assert(pbn < blocks_.size());
     const std::uint32_t page = std::uint32_t(ppn % cfg_.pagesPerBlock);
     Block &blk = blocks_[pbn];
     if (page != blk.nextPage) {
@@ -130,9 +129,9 @@ NandFlash::program(Ppn ppn, PageContent content, Tick earliest)
         faults_->programFails(ppn, blk.eraseCount, cfg_.maxPeCycles);
     // A failed program still consumes the page: the cells are in an
     // indeterminate state and in-order programming cannot reuse it.
-    // It reads back empty (no valid OOB), so SPOR rebuild skips it.
+    // Nothing on it is readable; the FTL records the failure, and its
+    // SPOR rebuild skips the page.
     blk.nextPage = page + 1;
-    pages_[ppn] = failed ? PageContent{} : std::move(content);
     stats_.add(sPrograms_);
     if (failed)
         stats_.add(sProgramFails_);
@@ -195,11 +194,8 @@ NandFlash::eraseBlock(Pbn pbn, Tick earliest)
     const bool failed =
         faults_ != nullptr &&
         faults_->eraseFails(pbn, blk.eraseCount, cfg_.maxPeCycles);
-    if (!failed) {
-        for (std::uint32_t p = 0; p < blk.nextPage; ++p)
-            pages_[first + p] = PageContent{};
+    if (!failed)
         blk.nextPage = 0;
-    }
     // The erase attempt consumes a P/E cycle either way.
     ++blk.eraseCount;
     ++totalErases_;
@@ -233,13 +229,6 @@ NandFlash::nextProgramPage(Pbn pbn) const
 {
     assert(pbn < blocks_.size());
     return blocks_[pbn].nextPage;
-}
-
-const PageContent &
-NandFlash::peek(Ppn ppn) const
-{
-    assert(ppn < pages_.size());
-    return pages_[ppn];
 }
 
 std::uint32_t

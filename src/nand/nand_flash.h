@@ -1,11 +1,12 @@
 /**
  * @file
- * Functional + timing model of a NAND flash array.
+ * Timing and program-state model of a NAND flash array.
  *
- * The array stores per-slot content tokens and OOB metadata so the
- * whole stack is end-to-end verifiable, enforces flash programming
- * rules (erase-before-program, in-order page programming within a
- * block), and charges die/channel time for every operation.
+ * The array enforces flash programming rules (erase-before-program,
+ * in-order page programming within a block), tracks which pages are
+ * programmed and how often each block was erased, decides fault
+ * outcomes, and charges die/channel time for every operation. Page
+ * contents live in the FTL's flash image (ftl/ftl.h).
  */
 
 #ifndef CHECKIN_NAND_NAND_FLASH_H_
@@ -59,16 +60,15 @@ class NandFlash
     /**
      * Program a page. The page must be erased and must be the next
      * unprogrammed page of its block (NAND in-order rule). A failed
-     * program consumes the page — it stays unreadable (empty OOB)
-     * until the block is erased, and the block should be retired.
-     * @param content slot tokens + OOB to persist.
+     * program consumes the page — it holds nothing readable until the
+     * block is erased, and the block should be retired.
      * @return completion tick + status.
      */
-    NandResult program(Ppn ppn, PageContent content, Tick earliest);
+    NandResult program(Ppn ppn, Tick earliest);
 
     /**
-     * Erase a block. A failed erase leaves the previous contents in
-     * place and the block must be retired by the FTL.
+     * Erase a block. A failed erase leaves its pages programmed and
+     * the block must be retired by the FTL.
      * @return completion tick + status.
      */
     NandResult eraseBlock(Pbn pbn, Tick earliest);
@@ -86,9 +86,6 @@ class NandFlash
 
     /** Next page index to program in @p pbn (== pagesPerBlock: full). */
     std::uint32_t nextProgramPage(Pbn pbn) const;
-
-    /** Content of a programmed page (functional read, no timing). */
-    const PageContent &peek(Ppn ppn) const;
 
     /** Erase count of a block. */
     std::uint32_t eraseCount(Pbn pbn) const;
@@ -132,7 +129,6 @@ class NandFlash
     NandConfig cfg_;
     NandLayout layout_;
     std::vector<Block> blocks_;
-    std::vector<PageContent> pages_;
     std::vector<Resource> dies_;
     std::vector<Resource> channels_;
     StatRegistry stats_;

@@ -7,7 +7,6 @@
 #define CHECKIN_NAND_NAND_TYPES_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "nand/nand_config.h"
 #include "sim/types.h"
@@ -151,15 +150,6 @@ class NandLayout
 
   private:
     NandConfig cfg_;
-};
-
-/** Token content of one physical page: one token per sub-page slot. */
-struct PageContent
-{
-    std::vector<std::uint64_t> slotTokens;
-    std::vector<OobEntry> oob;
-    /** Monotonic program sequence (recovery ordering), 0 = unset. */
-    std::uint64_t seq = 0;
 };
 
 } // namespace checkin

@@ -38,7 +38,7 @@ namespace checkin::obs {
  * Pipeline stages a client op can dwell in, in rough pipeline order.
  * Every tick of an op's end-to-end latency is attributed to exactly
  * one stage; Other catches whatever no probe claimed (completion
- * delivery, host-cache hits, unattributed gaps).
+ * delivery, unattributed gaps).
  */
 enum class Stage : std::uint8_t
 {

@@ -46,9 +46,11 @@ class Trace
     void save(std::ostream &os) const;
 
     /**
-     * Parse the text format. Unknown or malformed lines throw
-     * std::invalid_argument; blank lines and '#' comments are
-     * skipped.
+     * Parse the text format. A line with an unknown op, a field too
+     * many or too few, a number with a sign or other text, a number
+     * above its field's range (64-bit keys, 32-bit sizes) or a value
+     * size of 0 throws std::invalid_argument naming the line; blank
+     * lines and '#' comments are skipped.
      */
     static Trace load(std::istream &is);
 
@@ -81,8 +83,10 @@ class TraceReplayer
 {
   public:
     /** Throws std::invalid_argument for 0 threads and a non-empty
-     *  trace: nothing would issue, and the engine's checkpoint timer
-     *  would keep the event queue running forever. */
+     *  trace (nothing would issue, and the engine's checkpoint timer
+     *  would keep the event queue running forever), and for an op the
+     *  engine cannot take: a key outside its key space or a value
+     *  outside [1, maxValueBytes]. */
     TraceReplayer(SimContext &ctx, StorageEngine &engine,
                   const Trace &trace, std::uint32_t threads);
 

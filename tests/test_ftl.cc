@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the sub-page-mapping FTL: mapping, RMW, CoW remapping,
- * trim, GC data preservation, and OOB scan.
+ * trim, and GC data preservation.
  */
 
 #include <gtest/gtest.h>
@@ -326,32 +326,6 @@ TEST_F(FtlGc, MapFlushProgramsPages)
     }
     EXPECT_GT(ftl_->stats().get("ftl.mapFlushes"), 0u);
     EXPECT_GT(ftl_->stats().get("ftl.slotWrites.mapflush"), 0u);
-}
-
-TEST_F(FtlGc, OobScanRecoversLatestMappings)
-{
-    const auto v1 = sectors(1, 1);
-    const auto v2 = sectors(2, 1);
-    ftl_->writeSectors(5, 1, v1.data(), IoCause::Query, 0);
-    ftl_->writeSectors(5, 1, v2.data(), IoCause::Query, 0);
-    ftl_->writeSectors(9, 1, v1.data(), IoCause::Query, 0);
-    ftl_->flushOpenPages(0);
-    const auto mappings = ftl_->scanOobMappings();
-    // Expect lpn 5 and 9 present, 5 pointing at the newer slot.
-    std::uint64_t found5 = kInvalidAddr;
-    std::uint64_t found9 = kInvalidAddr;
-    for (const auto &[lpn, slot] : mappings) {
-        if (lpn == 5)
-            found5 = slot;
-        if (lpn == 9)
-            found9 = slot;
-    }
-    ASSERT_NE(found5, kInvalidAddr);
-    ASSERT_NE(found9, kInvalidAddr);
-    // The rebuilt slot for lpn 5 holds v2.
-    std::vector<SectorData> out(1);
-    ftl_->peekSectors(5, 1, out.data());
-    EXPECT_EQ(out[0], v2[0]);
 }
 
 } // namespace

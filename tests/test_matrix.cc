@@ -1,8 +1,7 @@
 /**
  * @file
  * Cross-configuration sweep tests: (mapping unit x mode) content
- * convergence, NAND geometry variations end-to-end, and host-cache
- * interaction with checkpointing.
+ * convergence and NAND geometry variations end-to-end.
  */
 
 #include <gtest/gtest.h>
@@ -123,23 +122,6 @@ TEST(GeometryScaling, MoreDiesMeanMoreWriteBandwidth)
         ops_per_sec[i++] = runExperiment(c).throughputOps;
     }
     EXPECT_GT(ops_per_sec[1], ops_per_sec[0] * 2.0);
-}
-
-TEST(HostCacheMatrix, CacheSpeedsUpReadHeavyWorkload)
-{
-    double with_cache = 0.0;
-    double without_cache = 0.0;
-    for (int pass = 0; pass < 2; ++pass) {
-        ExperimentConfig c = sweepConfig();
-        c.engine.mode = CheckpointMode::CheckIn;
-        c.workload = WorkloadSpec::b(); // 95 % reads, zipfian
-        c.workload.operationCount = 6'000;
-        c.ftl.dataCacheBytes = 0; // isolate the host cache
-        c.engine.hostCacheBytes = pass == 0 ? 0 : 2 * kMiB;
-        const RunResult r = runExperiment(c);
-        (pass == 0 ? without_cache : with_cache) = r.throughputOps;
-    }
-    EXPECT_GT(with_cache, without_cache * 1.5);
 }
 
 } // namespace

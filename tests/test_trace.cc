@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "sim/event_queue.h"
 #include "sim/sim_context.h"
@@ -59,6 +60,42 @@ TEST(Trace, LoadRejectsGarbage)
     EXPECT_THROW(Trace::load(bad1), std::invalid_argument);
     std::stringstream bad2("U 5\n"); // missing bytes
     EXPECT_THROW(Trace::load(bad2), std::invalid_argument);
+}
+
+TEST(Trace, LoadRejectsSignsTrailingTextRangeAndZeroSizes)
+{
+    // Each record sits on line 2, after a valid one.
+    const char *const bad[] = {
+        "U -3 100",                // sign
+        "U 5 -1",                  // sign (would wrap to 4294967295)
+        "R +5",                    // sign
+        "R 5x",                    // trailing text in a number
+        "U 5 100 7",               // trailing field
+        "R",                       // missing key
+        "U 5 4294967296",          // above 32 bits
+        "R 18446744073709551616",  // above 64 bits
+        "U 5 0",                   // zero value size
+        "M 5 0",                   // zero value size
+        "RR 5",                    // op is one letter
+    };
+    for (const char *record : bad) {
+        std::stringstream ss(std::string("R 1\n") + record + "\n");
+        try {
+            Trace::load(ss);
+            ADD_FAILURE() << "accepted '" << record << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("at line 2"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The largest numbers of each field still parse.
+    std::stringstream ok("R 18446744073709551615\nS 0 0\n"
+                         "U 1 4294967295\n");
+    const Trace t = Trace::load(ok);
+    ASSERT_EQ(t.size(), 3u);
+    EXPECT_EQ(t.ops()[0].key, 18446744073709551615u);
+    EXPECT_EQ(t.ops()[2].valueBytes, 4294967295u);
 }
 
 TEST(Trace, GenerateIsDeterministic)
@@ -159,6 +196,31 @@ TEST(TraceReplay, ZeroThreadsIsRejectedInsteadOfSpinning)
     const Trace empty;
     TraceReplayer idle(s.ctx, s.engine(), empty, 0);
     EXPECT_TRUE(idle.done());
+}
+
+TEST(TraceReplay, OpsTheEngineCannotTakeAreRejected)
+{
+    using OpType = WorkloadGenerator::OpType;
+    Stack s(CheckpointMode::CheckIn);
+    const std::uint32_t max_value = s.engine().config().maxValueBytes;
+    const Trace::Op bad[] = {
+        {OpType::Read, 300, 0, 0},              // key space is 300
+        {OpType::Update, 7, max_value + 1, 0},  // value too large
+        {OpType::Rmw, 7, 0, 0},                 // empty value
+    };
+    for (const Trace::Op &op : bad) {
+        Trace t;
+        t.add({OpType::Read, 1, 0, 0});
+        t.add(op);
+        try {
+            TraceReplayer(s.ctx, s.engine(), t, 4);
+            ADD_FAILURE() << "accepted op on key " << op.key;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("trace op 2:"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(TraceReplay, HandlesDeletesInTrace)
