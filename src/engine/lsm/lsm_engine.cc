@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 #include "engine/record.h"
-#include "obs/attribution.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -15,78 +13,38 @@ namespace checkin {
 
 namespace {
 
-/** Trace lane for flush/compaction events (Cat::Engine). */
-constexpr std::uint32_t kFlushLane = 1;
-
-/** Sum of the device counters behind CheckpointStat::cowCommands. */
-std::uint64_t
-cowCommandCount(const StatRegistry &ds)
-{
-    return ds.get("ssd.cmd.cowSingle") + ds.get("ssd.cmd.cowMulti") +
-           ds.get("ssd.cmd.checkpointRemap");
-}
-
-/** Shared completion counter for a fan-out of commands. */
-struct FanOut
-{
-    std::size_t outstanding = 0;
-    Tick last = 0;
-    std::function<void(Tick)> done;
-
-    void
-    complete(const CmdResult &r)
-    {
-        last = std::max(last, r.require());
-        assert(outstanding > 0);
-        if (--outstanding == 0)
-            done(last);
-    }
+constexpr EngineCore::TraceNames kTraceNames{
+    .lane = "flush",
+    .start = "flush.start",
+    .startArg = "walRecords",
+    .data = "flush.data",
+    .dataArg = "records",
+    .meta = "flush.meta",
+    .del = "flush.delete",
+    .whole = "flush",
+    .wholeArg = nullptr,
 };
 
 } // namespace
 
 LsmEngine::LsmEngine(SimContext &ctx, Ssd &ssd,
                      const EngineConfig &cfg)
-    : eq_(ctx.events()),
-      ssd_(ssd),
-      cfg_(cfg),
+    : EngineCore(ctx, ssd, cfg, kTraceNames),
       layout_(LsmLayout::compute(cfg, ssd.capacitySectors(),
                                  ssd.ftl().sectorsPerUnit())),
-      keymap_(cfg.recordCount),
-      policy_(CheckpointPolicy::create(cfg_))
+      keymap_(cfg.recordCount)
 {
-    obs::nameLane(obs::Cat::Engine, kFlushLane, "flush");
-    telem_ = ctx.telemetry();
-    if (telem_ != nullptr && telem_->enabled()) {
-        telem_->addGauge("engine.deferredOps", [this] {
-            return std::uint64_t(deferred_.size());
-        });
-        telem_->addGauge("engine.keymapSize", [this] {
-            return std::uint64_t(keymap_.size());
-        });
-        telem_->addGauge("engine.ckptInProgress", [this] {
-            return std::uint64_t(flushInProgress_ ? 1 : 0);
-        });
-        telem_->addGauge("journal.bytes", [this] {
-            return halfPayloadBytes_[activeHalf_];
-        });
-        telem_->addGauge("journal.jmtSize", [this] {
-            return std::uint64_t(
-                halfRecords_[activeHalf_].size());
-        });
-        telem_->addGauge("journal.stalled", [this] {
-            return std::uint64_t(walStalled_ ? 1 : 0);
-        });
-        telem_->addGauge("journal.fillRate", [this] {
-            return std::uint64_t(policy_->fillRateBytesPerSec());
-        });
-        telem_->addCounter("engine.checkpoints", [this] {
-            return stats_.get("engine.checkpoints");
-        });
-        telem_->addCounter("journal.stalls", [this] {
-            return stats_.get("engine.journalStalls");
-        });
-    }
+    addProbes(
+        {{"journal.bytes",
+          [this] { return halfPayloadBytes_[activeHalf_]; }},
+         {"journal.jmtSize",
+          [this] {
+              return std::uint64_t(halfRecords_[activeHalf_].size());
+          }},
+         {"journal.stalled",
+          [this] { return std::uint64_t(walStalled_ ? 1 : 0); }}},
+        {{"journal.stalls",
+          [this] { return stats_.get("engine.journalStalls"); }}});
 }
 
 std::uint32_t
@@ -168,353 +126,125 @@ LsmEngine::load(
     stats_.add("engine.loadedKeys", cfg_.recordCount);
 }
 
-void
-LsmEngine::start()
-{
-    if (policy_->timerPeriod() > 0)
-        eq_.scheduleAfter(policy_->timerPeriod(),
-                          [this] { onFlushTimer(); });
-}
-
-void
-LsmEngine::onFlushTimer()
-{
-    const PolicyDecision d = policy_->onTimer(policySignals());
-    if (d.checkpoint)
-        requestCheckpoint(d.trigger);
-    if (policy_->timerPeriod() > 0)
-        eq_.scheduleAfter(policy_->timerPeriod(),
-                          [this] { onFlushTimer(); });
-}
-
-PolicySignals
-LsmEngine::policySignals() const
-{
-    PolicySignals sig;
-    sig.now = eq_.now();
-    sig.journalBytes = halfPayloadBytes_[activeHalf_];
-    sig.journalCapacityBytes = cfg_.journalHalfBytes;
-    sig.checkpointInProgress = flushInProgress_;
-    sig.checkpointStallTicks =
-        obs::attrLiveStageTicks(obs::Stage::CheckpointStall);
-    return sig;
-}
-
-void
-LsmEngine::noteWalAppend()
-{
-    policy_->noteAppend(eq_.now(), halfPayloadBytes_[activeHalf_]);
-    if (flushInProgress_)
-        return;
-    const PolicyDecision d = policy_->onAppend(policySignals());
-    if (d.checkpoint)
-        requestCheckpoint(d.trigger);
-}
-
-bool
-LsmEngine::maybeDefer(InlineCallback &task)
-{
-    if (cfg_.lockQueriesDuringCheckpoint && flushInProgress_) {
-        deferred_.push_back(std::move(task));
-        return true;
-    }
-    return false;
-}
-
-void
-LsmEngine::drainDeferred()
-{
-    while (!deferred_.empty()) {
-        eq_.scheduleAfter(0, std::move(deferred_.front()));
-        deferred_.pop_front();
-    }
-}
-
 // ----------------------------------------------------------------------
 // Queries
 // ----------------------------------------------------------------------
 
-void
-LsmEngine::get(std::uint64_t key, QueryCb cb)
+EngineCore::Located
+LsmEngine::locate(std::uint64_t key) const
 {
-    const obs::OpToken op = obs::attrCurrentOp();
-    InlineCallback task = [this, key, op, cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doGet(key, std::move(cb));
+    const KeyState &st = keymap_[key];
+    if (st.version == 0)
+        return {};
+    return Located{st.version, st.chunks, st.loc.area == Loc::Area::Wal,
+                   lbaOf(st.loc), 0};
+}
+
+void
+LsmEngine::doWrite(std::uint64_t key, std::uint32_t value_bytes,
+                   QueryCb cb)
+{
+    const bool ckpt_at_submit = checkpointInProgress();
+    PendingRec rec;
+    rec.key = key;
+    rec.version = ++keymap_[key].assignedVersion;
+    rec.valueBytes = value_bytes;
+    rec.chunks = std::uint32_t(divCeil(value_bytes, kChunkBytes));
+    rec.units = recordUnits(rec.chunks);
+    rec.cb = [this, value_bytes, ckpt_at_submit,
+              cb = std::move(cb)](const WalRec &w, Tick done) {
+        applyWalAck(w);
+        writeDone(cb, done, ckpt_at_submit, value_bytes);
     };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    std::vector<PendingRec> group;
+    group.push_back(std::move(rec));
+    enqueueGroup(std::move(group));
 }
 
 void
-LsmEngine::doGet(std::uint64_t key, QueryCb cb)
+LsmEngine::doUpdateBatch(std::vector<BatchOp> ops, QueryCb cb)
 {
-    assert(key < cfg_.recordCount);
-    stats_.add("engine.gets");
-    const KeyState st = keymap_[key];
-    const bool ckpt_at_submit = flushInProgress_;
-    if (st.version == 0 || st.chunks == 0) {
-        stats_.add("engine.getMisses");
-        eq_.scheduleAfter(0, [this, cb = std::move(cb),
-                              ckpt_at_submit] {
-            cb(QueryResult{eq_.now(), ckpt_at_submit, false});
-        });
-        return;
-    }
-    verifyKeyContent(key, st);
-    if (st.loc.area == Loc::Area::Wal)
-        stats_.add("engine.getsFromJournal");
-    const auto nsect =
-        std::uint32_t(divCeil(st.chunks, kChunksPerSector));
-    ssd_.submit(Command::read(lbaOf(st.loc), nsect, IoCause::Query),
-                [this, cb = std::move(cb),
-                 ckpt_at_submit](const CmdResult &r) {
-                    cb(QueryResult{
-                        r.require(),
-                        ckpt_at_submit || flushInProgress_, true});
-                });
-}
-
-void
-LsmEngine::update(std::uint64_t key, std::uint32_t value_bytes,
-                  QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    InlineCallback task = [this, key, value_bytes, op,
-                           cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        assert(key < cfg_.recordCount);
-        assert(value_bytes > 0 && value_bytes <= cfg_.maxValueBytes);
-        const std::uint32_t version = ++keymap_[key].assignedVersion;
-        const bool ckpt_at_submit = flushInProgress_;
+    auto txn = beginBatch(ops.size(), std::move(cb));
+    std::vector<PendingRec> group;
+    group.reserve(ops.size());
+    for (const BatchOp &o : ops) {
+        assert(o.key < cfg_.recordCount);
         PendingRec rec;
-        rec.key = key;
-        rec.version = version;
-        rec.valueBytes = value_bytes;
-        rec.chunks =
-            std::uint32_t(divCeil(value_bytes, kChunkBytes));
+        rec.key = o.key;
+        rec.version = ++keymap_[o.key].assignedVersion;
+        rec.valueBytes = o.valueBytes;
+        rec.chunks = std::uint32_t(divCeil(o.valueBytes, kChunkBytes));
         rec.units = recordUnits(rec.chunks);
-        rec.cb = [this, value_bytes, ckpt_at_submit,
-                  cb = std::move(cb)](const WalRec &w, Tick done) {
+        rec.cb = [this, txn](const WalRec &w, Tick done) {
             applyWalAck(w);
-            stats_.add("engine.updates");
-            stats_.add("engine.updateBytes", value_bytes);
-            noteWalAppend();
-            cb(QueryResult{done,
-                           ckpt_at_submit || flushInProgress_,
-                           true});
+            batchRecordDone(*txn, done);
         };
-        std::vector<PendingRec> group;
         group.push_back(std::move(rec));
-        enqueueGroup(std::move(group));
-    };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
-}
-
-void
-LsmEngine::readModifyWrite(std::uint64_t key,
-                           std::uint32_t value_bytes, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    get(key, [this, key, value_bytes, op,
-              cb = std::move(cb)](const QueryResult &r1) mutable {
-        const bool first_during = r1.duringCheckpoint;
-        obs::AttrOpScope attr_scope(op);
-        update(key, value_bytes,
-               [cb = std::move(cb),
-                first_during](const QueryResult &r2) {
-                   QueryResult res = r2;
-                   res.duringCheckpoint |= first_during;
-                   cb(res);
-               });
-    });
-}
-
-void
-LsmEngine::erase(std::uint64_t key, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    InlineCallback task = [this, key, op, cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        assert(key < cfg_.recordCount);
-        const std::uint32_t version = ++keymap_[key].assignedVersion;
-        const bool ckpt_at_submit = flushInProgress_;
-        PendingRec rec;
-        rec.key = key;
-        rec.version = version;
-        rec.valueBytes = 0;
-        rec.chunks = 0;
-        rec.units = 1;
-        rec.cb = [this, ckpt_at_submit,
-                  cb = std::move(cb)](const WalRec &w, Tick done) {
-            applyWalAck(w);
-            stats_.add("engine.deletes");
-            noteWalAppend();
-            cb(QueryResult{done,
-                           ckpt_at_submit || flushInProgress_,
-                           true});
-        };
-        std::vector<PendingRec> group;
-        group.push_back(std::move(rec));
-        enqueueGroup(std::move(group));
-    };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
-}
-
-void
-LsmEngine::updateBatch(std::vector<BatchOp> ops, QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    InlineCallback task = [this, ops = std::move(ops), op,
-                           cb = std::move(cb)]() mutable {
-        assert(!ops.empty());
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        const bool ckpt_at_submit = flushInProgress_;
-        struct TxnState
-        {
-            std::size_t outstanding;
-            Tick last = 0;
-            QueryCb cb;
-        };
-        auto txn = std::make_shared<TxnState>();
-        txn->outstanding = ops.size();
-        txn->cb = std::move(cb);
-        std::vector<PendingRec> group;
-        group.reserve(ops.size());
-        for (const BatchOp &o : ops) {
-            assert(o.key < cfg_.recordCount);
-            PendingRec rec;
-            rec.key = o.key;
-            rec.version = ++keymap_[o.key].assignedVersion;
-            rec.valueBytes = o.valueBytes;
-            rec.chunks =
-                std::uint32_t(divCeil(o.valueBytes, kChunkBytes));
-            rec.units = recordUnits(rec.chunks);
-            rec.cb = [this, txn, ckpt_at_submit](const WalRec &w,
-                                                 Tick done) {
-                applyWalAck(w);
-                txn->last = std::max(txn->last, done);
-                if (--txn->outstanding == 0) {
-                    stats_.add("engine.batchCommits");
-                    noteWalAppend();
-                    txn->cb(QueryResult{
-                        txn->last,
-                        ckpt_at_submit || flushInProgress_, true});
-                }
-            };
-            group.push_back(std::move(rec));
-        }
-        enqueueGroup(std::move(group));
-    };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
-}
-
-void
-LsmEngine::scan(std::uint64_t start_key, std::uint32_t count,
-                QueryCb cb)
-{
-    const obs::OpToken op = obs::attrCurrentOp();
-    InlineCallback task = [this, start_key, count, op,
-                           cb = std::move(cb)]() mutable {
-        obs::attrMark(op, obs::Stage::CheckpointStall, eq_.now());
-        obs::AttrOpScope attr_scope(op);
-        doScan(start_key, count, std::move(cb));
-    };
-    if (maybeDefer(task))
-        return;
-    obs::attrMark(op, obs::Stage::HostCpu,
-                  eq_.now() + cfg_.hostCpuPerQuery);
-    eq_.scheduleAfter(cfg_.hostCpuPerQuery, std::move(task));
+    }
+    enqueueGroup(std::move(group));
 }
 
 void
 LsmEngine::doScan(std::uint64_t start_key, std::uint32_t count,
                   QueryCb cb)
 {
-    assert(start_key < cfg_.recordCount);
-    stats_.add("engine.scans");
     const std::uint64_t end = std::min<std::uint64_t>(
         cfg_.recordCount, start_key + count);
-    const bool ckpt_at_submit = flushInProgress_;
-
-    struct Job
-    {
-        std::size_t outstanding = 0;
-        Tick last = 0;
-        std::uint32_t scanned = 0;
-        bool launched = false;
-        QueryCb cb;
-    };
-    auto job = std::make_shared<Job>();
-    job->cb = std::move(cb);
-    auto complete = [this, job, ckpt_at_submit](const CmdResult &r) {
-        job->last = std::max(job->last, r.require());
-        if (--job->outstanding == 0 && job->launched) {
-            job->cb(QueryResult{job->last,
-                                ckpt_at_submit || flushInProgress_,
-                                job->scanned > 0, job->scanned});
-        }
-    };
-
-    // L1 residents coalesce into one sequential read (L1 is packed
-    // in key order); WAL/L0 residents are fetched individually.
+    auto job = beginScan(std::move(cb));
     std::uint64_t l1_first = kInvalidAddr;
     std::uint64_t l1_end = 0;
     for (std::uint64_t key = start_key; key < end; ++key) {
-        const KeyState st = keymap_[key];
+        const KeyState &st = keymap_[key];
         if (st.version == 0 || st.chunks == 0)
             continue;
-        verifyKeyContent(key, st);
+        checkContent(key, locate(key));
         ++job->scanned;
-        const std::uint32_t units = recordUnits(st.chunks);
         if (st.loc.area == Loc::Area::L1 && st.loc.idx == ping_) {
             l1_first = std::min(l1_first, st.loc.unitOff);
-            l1_end = std::max(l1_end, st.loc.unitOff + units);
+            l1_end = std::max(l1_end,
+                              st.loc.unitOff + recordUnits(st.chunks));
         } else {
-            const auto nsect =
-                std::uint32_t(divCeil(st.chunks, kChunksPerSector));
-            ++job->outstanding;
-            ssd_.submit(Command::read(lbaOf(st.loc), nsect,
-                                      IoCause::Query),
-                        complete);
+            scanRead(job, lbaOf(st.loc),
+                     divCeil(st.chunks, kChunksPerSector));
         }
     }
     if (l1_first != kInvalidAddr) {
         const std::uint64_t nsect =
             (l1_end - l1_first) * layout_.unitSectors;
-        ++job->outstanding;
-        stats_.add("engine.scanSequentialSectors", nsect);
-        ssd_.submit(Command::read(layout_.l1Lba(ping_, l1_first),
-                                  nsect, IoCause::Query),
-                    complete);
+        sScanSequentialSectors_.add(nsect);
+        scanRead(job, layout_.l1Lba(ping_, l1_first), nsect);
     }
-    job->launched = true;
-    if (job->outstanding == 0) {
-        eq_.scheduleAfter(0, [this, job, ckpt_at_submit] {
-            job->cb(QueryResult{eq_.now(),
-                                ckpt_at_submit || flushInProgress_,
-                                false, 0});
-        });
-    }
+    endScan(job);
+}
+
+std::uint64_t
+LsmEngine::journalBytes() const
+{
+    return halfPayloadBytes_[activeHalf_];
+}
+
+std::uint64_t
+LsmEngine::journalRecords() const
+{
+    return halfRecords_[activeHalf_].size();
+}
+
+bool
+LsmEngine::nothingToCheckpoint() const
+{
+    return halfRecords_[activeHalf_].empty() && !walInFlight_;
+}
+
+bool
+LsmEngine::spareHalfBusy() const
+{
+    return !halfClean_[activeHalf_ ^ 1];
+}
+
+void
+LsmEngine::afterDeferredReleased()
+{
+    pumpWal();
 }
 
 // ----------------------------------------------------------------------
@@ -675,39 +405,8 @@ LsmEngine::pumpWal()
 // ----------------------------------------------------------------------
 
 void
-LsmEngine::requestCheckpoint(obs::CkptTrigger reason)
+LsmEngine::runCheckpoint()
 {
-    if (telem_ != nullptr && reason == obs::CkptTrigger::Safety) {
-        telem_->noteEvent(obs::TelemetryEvent::SafetyTrip,
-                          eq_.now(),
-                          halfPayloadBytes_[activeHalf_]);
-    }
-    if (flushInProgress_) {
-        pendingFlushRequest_ = true;
-        return;
-    }
-    if (halfRecords_[activeHalf_].empty() && !walInFlight_)
-        return;
-    if (!halfClean_[activeHalf_ ^ 1]) {
-        pendingFlushRequest_ = true;
-        return;
-    }
-    flushRec_.trigger = reason;
-    startFlush();
-}
-
-void
-LsmEngine::startFlush()
-{
-    flushInProgress_ = true;
-    flushStart_ = eq_.now();
-    policy_->onCheckpointStart(flushStart_);
-    if (telem_ != nullptr)
-        telem_->noteCheckpointStart(flushStart_);
-    stats_.add("engine.checkpoints");
-    obs::instant(obs::Cat::Engine, kFlushLane, "flush.start",
-                 flushStart_,
-                 {{"walRecords", halfRecords_[activeHalf_].size()}});
     // Wait for any in-flight group commit: its records belong to the
     // half being frozen and must be in the flush snapshot.
     quiesceWal([this] { onWalQuiesced(); });
@@ -745,35 +444,16 @@ LsmEngine::onWalQuiesced()
     auto recs = std::make_shared<std::vector<WalRec>>(
         std::move(halfRecords_[half]));
     halfRecords_[half].clear();
-    stats_.add("engine.ckptLogsSeen", recs->size());
-    stats_.add("engine.ckptLatestEntries", recs->size());
-    if (obs::attributionOn()) {
-        const obs::CkptTrigger reason = flushRec_.trigger;
-        flushRec_ = obs::CheckpointStat{};
-        flushRec_.trigger = reason;
-        flushRec_.seq = flushSeq_;
-        flushRec_.startTick = flushStart_;
-        flushRec_.entries = recs->size();
-        flushRec_.fullRecords = recs->size();
+    if (obs::CheckpointStat *rec =
+            noteSnapshot(recs->size(), recs->size())) {
+        rec->fullRecords = recs->size();
         for (const WalRec &r : *recs) {
             if (r.chunks == 0)
-                ++flushRec_.tombstones;
+                ++rec->tombstones;
         }
-        const StatRegistry &ds = ssd_.stats();
-        flushRec_.cowCommands = cowCommandCount(ds);
-        flushRec_.remappedPairs = ds.get("isce.remappedPairs");
-        flushRec_.remappedUnits = ds.get("isce.remappedUnits");
-        flushRec_.copiedPairs = ds.get("isce.copiedPairs");
-        flushRec_.copiedChunks = ds.get("isce.copiedChunks");
-        flushRec_.bufferedSmallRecords =
-            ds.get("isce.bufferedSmallRecords");
     }
     pumpWal();
 
-    if (recs->empty()) {
-        onFlushDataDone(half, region, *recs, eq_.now());
-        return;
-    }
     // Promote the frozen half with identity-offset remap pairs: WAL
     // unit i becomes region unit i, exactly what the append-time OOB
     // annotations already promise the device.
@@ -793,23 +473,17 @@ LsmEngine::onWalQuiesced()
     }
     if (!pairs.empty())
         cmds.push_back(Command::checkpointRemap(std::move(pairs)));
-    auto job = std::make_shared<FanOut>();
-    job->outstanding = cmds.size();
-    job->done = [this, half, region, recs](Tick t) {
-        onFlushDataDone(half, region, *recs, t);
-    };
-    for (Command &c : cmds) {
-        stats_.add("engine.ckptRemapCommands");
-        ssd_.submit(std::move(c),
-                    [job](const CmdResult &r) { job->complete(r); });
-    }
+    if (!cmds.empty())
+        stats_.add("engine.ckptRemapCommands", cmds.size());
+    submitAll(std::move(cmds), [this, half, region, recs](Tick) {
+        onFlushDataDone(half, region, *recs);
+    });
 }
 
 void
 LsmEngine::onFlushDataDone(std::uint8_t half, std::uint32_t region,
-                           const std::vector<WalRec> &recs, Tick t)
+                           const std::vector<WalRec> &recs)
 {
-    (void)t;
     if (regionUsedUnits_[region] > 0)
         ++usedRuns_;
     for (const WalRec &r : recs) {
@@ -825,79 +499,25 @@ LsmEngine::onFlushDataDone(std::uint8_t half, std::uint32_t region,
             st.dataLoc = nl;
         }
     }
-    flushDataDone_ = std::max(eq_.now(), flushStart_);
-    stats_.add("engine.ckptDataTicks", flushDataDone_ - flushStart_);
-    obs::span(obs::Cat::Engine, kFlushLane, "flush.data",
-              flushStart_, flushDataDone_,
-              {{"records", recs.size()}});
+    markDataDone(recs.size());
     // Manifest before the WAL trim: every crash window leaves either
     // the logs durable or the manifest naming the promoted run.
     ssd_.submit(buildManifestCommand(),
                 [this, half](const CmdResult &r) {
-        const Tick t2 = r.require();
-        flushMetaDone_ = std::max(t2, flushDataDone_);
-        stats_.add("engine.ckptMetaTicks",
-                   flushMetaDone_ - flushDataDone_);
-        obs::span(obs::Cat::Engine, kFlushLane, "flush.meta",
-                  flushDataDone_, flushMetaDone_);
+        markMetaDone(r.require());
         ssd_.submit(Command::deleteLogs(layout_.walStart[half],
                                         layout_.walSectors),
                     [this, half](const CmdResult &r2) {
             const Tick t3 = r2.require();
-            stats_.add("engine.ckptDeleteTicks",
-                       t3 > flushMetaDone_ ? t3 - flushMetaDone_
-                                           : 0);
-            obs::span(obs::Cat::Engine, kFlushLane, "flush.delete",
-                      flushMetaDone_, t3);
+            markDeleteDone(t3);
             halfClean_[half] = true;
             halfRegionValid_[half] = false;
             if (usedRuns_ >= kLsmCompactRuns)
                 startCompaction();
             else
-                finishFlush(t3);
+                finishCheckpoint(t3);
         });
     });
-}
-
-void
-LsmEngine::finishFlush(Tick t)
-{
-    flushInProgress_ = false;
-    flushDurations_.push_back(t - flushStart_);
-    if (telem_ != nullptr)
-        telem_->noteCheckpointEnd(t, t - flushStart_);
-    stats_.add("engine.ckptTicks", t - flushStart_);
-    obs::span(obs::Cat::Engine, kFlushLane, "flush", flushStart_, t);
-    if (obs::attributionOn()) {
-        flushRec_.dataDoneTick = flushDataDone_;
-        flushRec_.metaDoneTick = flushMetaDone_;
-        flushRec_.endTick = t;
-        const StatRegistry &ds = ssd_.stats();
-        flushRec_.cowCommands =
-            cowCommandCount(ds) - flushRec_.cowCommands;
-        flushRec_.remappedPairs =
-            ds.get("isce.remappedPairs") - flushRec_.remappedPairs;
-        flushRec_.remappedUnits =
-            ds.get("isce.remappedUnits") - flushRec_.remappedUnits;
-        flushRec_.copiedPairs =
-            ds.get("isce.copiedPairs") - flushRec_.copiedPairs;
-        flushRec_.copiedChunks =
-            ds.get("isce.copiedChunks") - flushRec_.copiedChunks;
-        flushRec_.bufferedSmallRecords =
-            ds.get("isce.bufferedSmallRecords") -
-            flushRec_.bufferedSmallRecords;
-        obs::attrNoteCheckpoint(flushRec_);
-    }
-    ++flushSeq_;
-    policy_->onCheckpointEnd(t, t - flushStart_);
-    drainDeferred();
-    pumpWal();
-    const bool threshold_hit =
-        policy_->onAppend(policySignals()).checkpoint;
-    if (pendingFlushRequest_ || threshold_hit) {
-        pendingFlushRequest_ = false;
-        requestCheckpoint(obs::CkptTrigger::Backlog);
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -966,27 +586,16 @@ LsmEngine::compactionTrims(std::uint8_t old_ping,
                            std::uint64_t old_l1_units,
                            std::function<void(Tick)> cb)
 {
-    auto job = std::make_shared<FanOut>();
-    job->outstanding = regions.size() + (old_l1_units > 0 ? 1 : 0);
-    job->done = std::move(cb);
-    if (job->outstanding == 0) {
-        job->done(eq_.now());
-        return;
-    }
+    std::vector<Command> trims;
     for (std::uint32_t r : regions) {
-        ssd_.submit(Command::trim(layout_.l0Lba(r, 0),
-                                  layout_.regionSectors),
-                    [job](const CmdResult &res) {
-                        job->complete(res);
-                    });
+        trims.push_back(
+            Command::trim(layout_.l0Lba(r, 0), layout_.regionSectors));
     }
     if (old_l1_units > 0) {
-        ssd_.submit(Command::trim(layout_.l1Lba(old_ping, 0),
-                                  layout_.l1Sectors),
-                    [job](const CmdResult &res) {
-                        job->complete(res);
-                    });
+        trims.push_back(Command::trim(layout_.l1Lba(old_ping, 0),
+                                      layout_.l1Sectors));
     }
+    submitAll(std::move(trims), std::move(cb));
 }
 
 void
@@ -1003,7 +612,7 @@ LsmEngine::startCompaction()
     }
     auto moves = std::make_shared<std::vector<CompactMove>>(
         planCompaction());
-    obs::instant(obs::Cat::Engine, kFlushLane, "compact.start",
+    obs::instant(obs::Cat::Engine, kCkptLane, "compact.start",
                  eq_.now(), {{"records", moves->size()}});
 
     const std::uint32_t unit_chunks = layout_.unitChunks();
@@ -1023,9 +632,10 @@ LsmEngine::startCompaction()
     if (!pairs.empty())
         cmds.push_back(Command::checkpointRemap(std::move(pairs)));
 
-    auto after_copies = [this, moves, regions, old_ping, new_ping,
-                         old_l1_units](Tick t) {
-        (void)t;
+    if (!cmds.empty())
+        stats_.add("engine.compactionCowCommands", cmds.size());
+    submitAll(std::move(cmds), [this, moves, regions, old_ping, new_ping,
+                                old_l1_units](Tick) {
         applyCompaction(*moves, new_ping);
         // Manifest (new ping, regions cleared) before the trims.
         ssd_.submit(buildManifestCommand(),
@@ -1033,21 +643,9 @@ LsmEngine::startCompaction()
                      old_l1_units](const CmdResult &r) {
             r.require();
             compactionTrims(old_ping, *regions, old_l1_units,
-                            [this](Tick t3) { finishFlush(t3); });
+                            [this](Tick t3) { finishCheckpoint(t3); });
         });
-    };
-    if (cmds.empty()) {
-        after_copies(eq_.now());
-        return;
-    }
-    auto job = std::make_shared<FanOut>();
-    job->outstanding = cmds.size();
-    job->done = after_copies;
-    for (Command &c : cmds) {
-        stats_.add("engine.compactionCowCommands");
-        ssd_.submit(std::move(c),
-                    [job](const CmdResult &r) { job->complete(r); });
-    }
+    });
 }
 
 // ----------------------------------------------------------------------
@@ -1100,69 +698,6 @@ LsmEngine::readManifest() const
     m.l1UsedUnits[0] = get(4 + kLsmL0Regions).version;
     m.l1UsedUnits[1] = get(5 + kLsmL0Regions).version;
     return m;
-}
-
-// ----------------------------------------------------------------------
-// Verification
-// ----------------------------------------------------------------------
-
-void
-LsmEngine::verifyKeyContent(std::uint64_t key,
-                            const KeyState &st) const
-{
-    if (st.version == 0)
-        return;
-    const Lba lba = lbaOf(st.loc);
-    if (st.chunks == 0) {
-        // Deleted key: its tombstone record must read back (LSM
-        // tombstones stay on-device through compaction).
-        SectorData buf;
-        ssd_.peek(lba, 1, &buf);
-        if (buf.chunks[0] != tombstoneToken(key, st.version)) {
-            std::ostringstream os;
-            os << "lsm tombstone mismatch: key " << key
-               << " version " << st.version << " at lba " << lba;
-            throw std::runtime_error(os.str());
-        }
-        return;
-    }
-    const auto nsect =
-        std::uint32_t(divCeil(st.chunks, kChunksPerSector));
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(lba, nsect, buf.data());
-    for (std::uint32_t c = 0; c < st.chunks; ++c) {
-        const std::uint64_t got =
-            buf[c / kChunksPerSector].chunks[c % kChunksPerSector];
-        const std::uint64_t want =
-            dataChunkToken(key, st.version, c);
-        if (got != want) {
-            const DecodedToken d = decodeToken(got);
-            std::ostringstream os;
-            os << "lsm content mismatch: key " << key << " version "
-               << st.version << " chunk " << c << " at lba " << lba
-               << " (area=" << int(st.loc.area)
-               << " idx=" << int(st.loc.idx)
-               << " unitOff=" << st.loc.unitOff
-               << " chunks=" << st.chunks << ") got tag="
-               << int(d.tag) << " key=" << d.key
-               << " ver=" << d.version << " aux=" << d.aux;
-            throw std::runtime_error(os.str());
-        }
-    }
-}
-
-std::uint64_t
-LsmEngine::verifyAllKeys() const
-{
-    std::uint64_t verified = 0;
-    for (std::uint64_t key = 0; key < cfg_.recordCount; ++key) {
-        const KeyState &st = keymap_[key];
-        if (st.version == 0)
-            continue;
-        verifyKeyContent(key, st);
-        ++verified;
-    }
-    return verified;
 }
 
 // ----------------------------------------------------------------------

@@ -13,15 +13,10 @@
 #include <functional>
 #include <vector>
 
-#include "engine/checkpoint_policy.h"
 #include "engine/engine_config.h"
+#include "engine/engine_core.h"
 #include "engine/lsm/lsm_layout.h"
-#include "engine/storage_engine.h"
-#include "obs/flight_recorder.h"
-#include "sim/event_queue.h"
-#include "sim/inline_event.h"
 #include "sim/sim_context.h"
-#include "sim/stats.h"
 #include "ssd/ssd.h"
 
 namespace checkin {
@@ -45,7 +40,7 @@ namespace checkin {
  * so version ordering survives trimmed-WAL resurrection after a
  * sudden power loss rebuild.
  */
-class LsmEngine : public StorageEngine
+class LsmEngine final : public EngineCore
 {
   public:
     LsmEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg);
@@ -53,64 +48,8 @@ class LsmEngine : public StorageEngine
     void load(const std::function<std::uint32_t(std::uint64_t)>
                   &size_of) override;
     RecoveryInfo recover() override;
-    void start() override;
 
-    // ------------------------------------------------------------------
-    // Query interface
-    // ------------------------------------------------------------------
-    void get(std::uint64_t key, QueryCb cb) override;
-    void update(std::uint64_t key, std::uint32_t value_bytes,
-                QueryCb cb) override;
-    void readModifyWrite(std::uint64_t key, std::uint32_t value_bytes,
-                         QueryCb cb) override;
-    void erase(std::uint64_t key, QueryCb cb) override;
-    void updateBatch(std::vector<BatchOp> ops, QueryCb cb) override;
-    void scan(std::uint64_t start_key, std::uint32_t count,
-              QueryCb cb) override;
-
-    // ------------------------------------------------------------------
-    // Checkpoint (memtable flush) control
-    // ------------------------------------------------------------------
-    void requestCheckpoint(obs::CkptTrigger reason =
-                               obs::CkptTrigger::Manual) override;
-    bool
-    checkpointInProgress() const override
-    {
-        return flushInProgress_;
-    }
-    const std::vector<Tick> &
-    checkpointDurations() const override
-    {
-        return flushDurations_;
-    }
-
-    double
-    journalFillRate() const override
-    {
-        return policy_->fillRateBytesPerSec();
-    }
-
-    /** The trigger policy driving this engine's flushes. */
-    const CheckpointPolicy &checkpointPolicy() const
-    {
-        return *policy_;
-    }
-
-    // ------------------------------------------------------------------
-    // Introspection
-    // ------------------------------------------------------------------
     const LsmLayout &layout() const { return layout_; }
-    StatRegistry &stats() override { return stats_; }
-    const StatRegistry &stats() const override { return stats_; }
-    const EngineConfig &config() const override { return cfg_; }
-
-    std::uint32_t
-    committedVersion(std::uint64_t key) const override
-    {
-        return keymap_[key].version;
-    }
-
-    std::uint64_t verifyAllKeys() const override;
 
   private:
     /** Where a record copy lives. */
@@ -198,19 +137,22 @@ class LsmEngine : public StorageEngine
     std::uint32_t recordUnits(std::uint32_t chunks) const;
     Lba lbaOf(const Loc &loc) const;
 
-    // Query internals (mirror the checkin backend's idioms).
-    void doGet(std::uint64_t key, QueryCb cb);
+    // EngineCore hooks.
+    Located locate(std::uint64_t key) const override;
+    void doWrite(std::uint64_t key, std::uint32_t value_bytes,
+                 QueryCb cb) override;
+    void doUpdateBatch(std::vector<BatchOp> ops, QueryCb cb) override;
+    /** L1 residents are fetched as one sequential read (L1 is packed
+     *  in key order); WAL and L0 residents individually. */
     void doScan(std::uint64_t start_key, std::uint32_t count,
-                QueryCb cb);
-    /** Defer @p task (moving it out) while flush-locked; true when
-     *  deferred. */
-    bool maybeDefer(InlineCallback &task);
-    void drainDeferred();
-    void onFlushTimer();
-    /** Current trigger-policy inputs. */
-    PolicySignals policySignals() const;
-    /** Feed the policy a WAL append commit; maybe trigger. */
-    void noteWalAppend();
+                QueryCb cb) override;
+    std::uint64_t journalBytes() const override;
+    std::uint64_t journalRecords() const override;
+    bool nothingToCheckpoint() const override;
+    bool spareHalfBusy() const override;
+    /** The memtable flush. */
+    void runCheckpoint() override;
+    void afterDeferredReleased() override;
 
     // WAL append path.
     void enqueueGroup(std::vector<PendingRec> group);
@@ -218,12 +160,10 @@ class LsmEngine : public StorageEngine
     void applyWalAck(const WalRec &rec);
 
     // Flush (checkpoint) path.
-    void startFlush();
     void quiesceWal(std::function<void()> fn);
     void onWalQuiesced();
     void onFlushDataDone(std::uint8_t half, std::uint32_t region,
-                         const std::vector<WalRec> &recs, Tick t);
-    void finishFlush(Tick t);
+                         const std::vector<WalRec> &recs);
     std::uint32_t reserveRegion();
 
     // Compaction.
@@ -241,16 +181,9 @@ class LsmEngine : public StorageEngine
     Manifest readManifest() const;
     std::vector<ParsedRec> parseArea(Lba start_lba,
                                      std::uint64_t units) const;
-    void verifyKeyContent(std::uint64_t key,
-                          const KeyState &st) const;
 
-    EventQueue &eq_;
-    Ssd &ssd_;
-    EngineConfig cfg_;
     LsmLayout layout_;
     std::vector<KeyState> keymap_;
-    StatRegistry stats_;
-    std::unique_ptr<CheckpointPolicy> policy_;
 
     /** Device-durable OOB version stamps: a single monotone counter
      *  shared by every write/copy so the SPOR rebuild's newest-wins
@@ -277,19 +210,6 @@ class LsmEngine : public StorageEngine
     std::uint32_t usedRuns_ = 0;
     std::uint8_t ping_ = 0;
     std::uint64_t l1UsedUnits_[2] = {0, 0};
-
-    // Flush lifecycle.
-    bool flushInProgress_ = false;
-    bool pendingFlushRequest_ = false;
-    Tick flushStart_ = 0;
-    Tick flushDataDone_ = 0;
-    Tick flushMetaDone_ = 0;
-    std::vector<Tick> flushDurations_;
-    obs::CheckpointStat flushRec_;
-    std::uint64_t flushSeq_ = 0;
-    std::deque<InlineCallback> deferred_;
-    /** Telemetry sampler of the run (nullptr: telemetry off). */
-    obs::TelemetrySampler *telem_ = nullptr;
 };
 
 } // namespace checkin

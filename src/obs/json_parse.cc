@@ -1,12 +1,17 @@
 #include "obs/json_parse.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace checkin::obs {
 
 namespace {
+
+/** Deepest nesting accepted: far above the few levels JsonWriter
+ *  emits, far below what the recursion's stack can take. */
+constexpr int kMaxDepth = 256;
 
 /** Cursor over the input with shared error reporting. */
 class Parser
@@ -73,9 +78,14 @@ class Parser
         ws();
         switch (peek()) {
           case '{':
-            return object();
-          case '[':
-            return array();
+          case '[': {
+            if (++depth_ > kMaxDepth)
+                fail("nested deeper than " + std::to_string(kMaxDepth) +
+                     " levels");
+            JsonValue v = peek() == '{' ? object() : array();
+            --depth_;
+            return v;
+          }
           case '"':
             return string();
           case 't':
@@ -256,6 +266,7 @@ class Parser
 
     const std::string &s_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 const JsonValue kNullValue{};
@@ -299,7 +310,15 @@ JsonValue::asU64(std::uint64_t fallback) const
         return fallback;
     // Parse the raw text: doubles lose precision above 2^53 and tick
     // values are full 64-bit.
-    return std::strtoull(text.c_str(), nullptr, 10);
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || stop != end) {
+        throw std::runtime_error("'" + text +
+                                 "' is not a whole number in "
+                                 "[0, 2^64)");
+    }
+    return v;
 }
 
 std::string

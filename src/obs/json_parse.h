@@ -11,8 +11,9 @@
  * are stored as double plus the raw text so 64-bit tick values
  * round-trip exactly via asU64().
  *
- * Errors throw std::runtime_error with a byte offset; artifacts are
- * machine-written, so a parse error means a real bug, not bad input.
+ * Errors throw std::runtime_error with a byte offset. Input may come
+ * from outside the program (`checkin_cli report DIR`), so nesting is
+ * capped instead of recursing without bound.
  */
 
 #ifndef CHECKIN_OBS_JSON_PARSE_H_
@@ -62,13 +63,19 @@ struct JsonValue
     const JsonValue &at(std::size_t index) const;
 
     double asDouble(double fallback = 0.0) const;
-    /** Exact for integers JsonWriter wrote (parses the raw text). */
+    /**
+     * Exact for integers JsonWriter wrote (parses the raw text);
+     * @p fallback when not a number.
+     * @throws std::runtime_error for a number that is not a whole
+     * number in [0, 2^64): a sign, fraction or exponent.
+     */
     std::uint64_t asU64(std::uint64_t fallback = 0) const;
     std::string asString(const std::string &fallback = "") const;
     bool asBool(bool fallback = false) const;
 };
 
-/** Parse @p text; throws std::runtime_error on malformed input. */
+/** Parse @p text; throws std::runtime_error on malformed input or
+ *  nesting deeper than 256 levels. */
 JsonValue parseJson(const std::string &text);
 
 } // namespace checkin::obs

@@ -2,14 +2,13 @@
  * @file
  * Lightweight named-counter registry for simulation statistics.
  *
- * Modules register counters against a StatRegistry; the harness dumps
- * them after a run. Counters are plain uint64s addressed by name so
- * tests can assert on exact operation counts.
+ * Modules add to counters in a StatRegistry; the harness exports them
+ * after a run. Counters are plain uint64s addressed by name so tests
+ * can assert on exact operation counts.
  *
- * Hot paths should intern() their counter names once (typically in
- * the owning module's constructor) and update through the returned
- * StatId: an interned add is a plain array index instead of a
- * std::map string lookup per event.
+ * Hot paths count through a StatHandle: it interns its name on the
+ * first add, and every later add is a plain array index instead of a
+ * std::map string lookup.
  */
 
 #ifndef CHECKIN_SIM_STATS_H_
@@ -50,13 +49,6 @@ class StatRegistry
         values_[id] += delta;
     }
 
-    /** Set the interned counter @p id to @p value. */
-    void
-    set(StatId id, std::uint64_t value)
-    {
-        values_[id] = value;
-    }
-
     /** Read the interned counter @p id. */
     std::uint64_t get(StatId id) const { return values_[id]; }
 
@@ -65,13 +57,6 @@ class StatRegistry
     add(const std::string &name, std::uint64_t delta = 1)
     {
         values_[intern(name)] += delta;
-    }
-
-    /** Set counter @p name to @p value. */
-    void
-    set(const std::string &name, std::uint64_t value)
-    {
-        values_[intern(name)] = value;
     }
 
     /** Read counter @p name; zero when absent. */
@@ -91,20 +76,6 @@ class StatRegistry
             out.emplace(name, values_[id]);
         return out;
     }
-
-    /** Number of registered counters. */
-    std::size_t size() const { return values_.size(); }
-
-    /** Reset every counter to zero (names and ids are kept). */
-    void
-    reset()
-    {
-        for (std::uint64_t &v : values_)
-            v = 0;
-    }
-
-    /** Render as "name = value" lines. */
-    std::string dump(const std::string &prefix = "") const;
 
   private:
     std::map<std::string, StatId> index_;

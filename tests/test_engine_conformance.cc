@@ -4,7 +4,8 @@
  *
  * Every test runs against both backends (`checkin`, `lsm`) through
  * the abstract interface only, so a new backend inherits the whole
- * contract for free: read-your-writes, erase/scan visibility,
+ * contract for free: read-your-writes, erase/scan visibility, the
+ * checkpoint lock and the coalescing of checkpoint requests,
  * updateBatch atomicity across a sudden power cut, recover()
  * idempotence, and a small crash-oracle campaign per backend.
  */
@@ -12,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "engine/storage_engine.h"
 #include "harness/crash_oracle.h"
 #include "harness/presets.h"
+#include "obs/attribution.h"
+#include "obs/telemetry.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/sim_context.h"
@@ -211,6 +215,67 @@ TEST_P(EngineConformance, LockedModeDefersEveryQueryKindInIssueOrder)
     EXPECT_TRUE(found(51)) << "batch ran before the erase";
     EXPECT_FALSE(found(52));
     EXPECT_NO_THROW(eng.verifyAllKeys());
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint-request lifecycle
+// ---------------------------------------------------------------------
+
+TEST_P(EngineConformance, CheckpointRequestsCoalesceAndRefireAsBacklog)
+{
+    SimContext ctx;
+    obs::AttributionCollector attr;
+    attr.setEnabled(true);
+    obs::TelemetryOptions topts;
+    topts.enabled = true;
+    obs::TelemetrySampler telem(topts);
+    ctx.setAttribution(&attr);
+    ctx.setTelemetry(&telem);
+    SimContextScope scope(ctx);
+    StorageNode node(ctx, stackConfig(engineCfg(GetParam())));
+    node.load([](std::uint64_t) { return 256u; });
+    EventQueue &eq = ctx.events();
+    telem.begin(eq);
+    StorageEngine &eng = node.engine();
+
+    // Nothing journaled yet: a request starts nothing.
+    eng.requestCheckpoint();
+    EXPECT_FALSE(eng.checkpointInProgress());
+    eq.run();
+    EXPECT_TRUE(eng.checkpointDurations().empty());
+
+    int acked = 0;
+    for (std::uint64_t k = 0; k < 40; ++k)
+        eng.update(k, 512, [&acked](const QueryResult &) { ++acked; });
+    eq.run();
+    ASSERT_EQ(acked, 40);
+    eng.requestCheckpoint();
+    ASSERT_TRUE(eng.checkpointInProgress());
+
+    // A safety trip during the checkpoint coalesces into it, but is
+    // still one event and one anomaly.
+    const std::uint64_t events = telem.eventCount();
+    const std::uint64_t anomalies = telem.anomalyCount();
+    eng.requestCheckpoint(obs::CkptTrigger::Safety);
+    EXPECT_TRUE(eng.checkpointInProgress());
+    EXPECT_TRUE(eng.checkpointDurations().empty());
+    EXPECT_EQ(telem.eventCount(), events + 1);
+    EXPECT_EQ(telem.anomalyCount(), anomalies + 1);
+
+    // Updates made during the checkpoint give the coalesced request
+    // something to do: it re-fires once, as Backlog.
+    for (std::uint64_t k = 100; k < 120; ++k)
+        eng.update(k, 512, [&acked](const QueryResult &) { ++acked; });
+    eq.run();
+    EXPECT_EQ(acked, 60);
+    EXPECT_FALSE(eng.checkpointInProgress());
+    EXPECT_EQ(eng.checkpointDurations().size(), 2u);
+    std::vector<std::string> triggers;
+    for (const obs::CheckpointStat &s : attr.checkpoints())
+        triggers.push_back(obs::ckptTriggerName(s.trigger));
+    EXPECT_EQ(triggers, (std::vector<std::string>{"manual", "backlog"}));
+    telem.finalize(eq.now());
+    EXPECT_EQ(eng.verifyAllKeys(), 200u);
 }
 
 // ---------------------------------------------------------------------
