@@ -8,6 +8,7 @@
 
 #include "cluster/hash_ring.h"
 #include "harness/presets.h"
+#include "harness/run_export.h"
 #include "obs/json.h"
 #include "sim/rng.h"
 
@@ -49,21 +50,6 @@ placeKeys(const ClusterConfig &cfg)
         t.shardKeys[s].push_back(g);
     }
     return t;
-}
-
-void
-histJson(obs::JsonWriter &w, const std::string &key,
-         const LatencyHistogram &h)
-{
-    w.key(key).beginObject();
-    w.kv("count", h.count());
-    w.kv("max", h.max());
-    w.kv("mean", h.mean());
-    w.kv("min", h.min());
-    w.kv("p50", h.quantile(0.5));
-    w.kv("p99", h.quantile(0.99));
-    w.kv("p999", h.quantile(0.999));
-    w.endObject();
 }
 
 } // namespace

@@ -3,6 +3,29 @@
 namespace checkin {
 
 const char *
+checkpointModeName(CheckpointMode mode)
+{
+    switch (mode) {
+      case CheckpointMode::Baseline: return "Baseline";
+      case CheckpointMode::IscA: return "ISC-A";
+      case CheckpointMode::IscB: return "ISC-B";
+      case CheckpointMode::IscC: return "ISC-C";
+      case CheckpointMode::CheckIn: return "Check-In";
+    }
+    return "?";
+}
+
+const char *
+engineBackendName(EngineBackend backend)
+{
+    switch (backend) {
+      case EngineBackend::CheckIn: return "checkin";
+      case EngineBackend::Lsm: return "lsm";
+    }
+    return "?";
+}
+
+const char *
 checkpointPolicyName(CheckpointPolicyKind kind)
 {
     switch (kind) {

@@ -351,21 +351,13 @@ EngineCore::endScan(const std::shared_ptr<ScanJob> &job)
     }
 }
 
-void
-EngineCore::submitAll(std::vector<Command> cmds,
-                      std::function<void(Tick)> done)
+std::vector<CowPair>
+EngineCore::batch(const std::vector<CowPair> &pairs, std::size_t b) const
 {
-    if (cmds.empty()) {
-        done(eq_.now());
-        return;
-    }
-    auto job = std::make_shared<FanOut>();
-    job->outstanding = cmds.size();
-    job->done = std::move(done);
-    for (Command &c : cmds) {
-        ssd_.submit(std::move(c),
-                    [job](const CmdResult &r) { job->complete(r); });
-    }
+    const std::size_t first = b * cfg_.maxPairsPerCommand;
+    const std::size_t end =
+        std::min(pairs.size(), first + cfg_.maxPairsPerCommand);
+    return {pairs.begin() + first, pairs.begin() + end};
 }
 
 // ----------------------------------------------------------------------

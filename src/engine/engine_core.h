@@ -39,8 +39,9 @@ namespace checkin {
  *    deletion phase counters and spans (paper Figs 4 and 10), the
  *    obs::CheckpointStat record with its device-counter deltas, and
  *    finish with its re-request;
- *  - helpers: fan-out completion, scan and batch completion, the
- *    content-token check, verifyAllKeys.
+ *  - helpers: the command fan-out and the batching of CoW pairs into
+ *    commands, scan and batch completion, the content-token check,
+ *    verifyAllKeys.
  *
  * A backend keeps its journal, layout, keymap, checkpoint body, load
  * and recovery, and plugs into the core through the private hooks at
@@ -146,17 +147,6 @@ class EngineCore : public StorageEngine
         std::uint32_t shift = 0; //!< first chunk within that sector
     };
 
-    /** Fires done(last completion tick) once outstanding commands
-     *  have completed. */
-    struct FanOut
-    {
-        std::size_t outstanding = 0;
-        Tick last = 0;
-        std::function<void(Tick)> done;
-
-        void complete(const CmdResult &r);
-    };
-
     /** One scan's reads; the scan completes when the last one does. */
     struct ScanJob
     {
@@ -212,10 +202,41 @@ class EngineCore : public StorageEngine
     /** All reads issued; an empty scan completes asynchronously. */
     void endScan(const std::shared_ptr<ScanJob> &job);
 
-    /** Submit @p cmds; @p done fires with the last completion tick,
-     *  at once (with now) when there are none. */
-    void submitAll(std::vector<Command> cmds,
-                   std::function<void(Tick)> done);
+    /**
+     * Submit @p n commands, building command i with @p make(i) just
+     * before it is submitted (so it sees the state the previous
+     * submits left); @p done fires with the last completion tick, at
+     * once (with now) when @p n is 0.
+     */
+    template <typename Make>
+    void
+    submitAll(std::size_t n, Make make, std::function<void(Tick)> done)
+    {
+        if (n == 0) {
+            done(eq_.now());
+            return;
+        }
+        auto job = std::make_shared<FanOut>();
+        job->outstanding = n;
+        job->done = std::move(done);
+        for (std::size_t i = 0; i < n; ++i) {
+            ssd_.submit(make(i),
+                        [job](const CmdResult &r) { job->complete(r); });
+        }
+    }
+
+    /** Commands that carry @p pairs CoW pairs, at most
+     *  EngineConfig::maxPairsPerCommand each. */
+    std::size_t
+    batchCount(std::size_t pairs) const
+    {
+        return divCeil(pairs, cfg_.maxPairsPerCommand);
+    }
+
+    /** The pairs of command @p b of batchCount(pairs.size()), in
+     *  order. */
+    std::vector<CowPair> batch(const std::vector<CowPair> &pairs,
+                               std::size_t b) const;
 
     /** Check @p v's content tokens (a tombstone for a deleted key).
      *  @throws std::runtime_error on a mismatch. */
@@ -252,6 +273,17 @@ class EngineCore : public StorageEngine
                                        "engine.scanSequentialSectors"};
 
   private:
+    /** Fires done(last completion tick) once outstanding commands
+     *  have completed. */
+    struct FanOut
+    {
+        std::size_t outstanding = 0;
+        Tick last = 0;
+        std::function<void(Tick)> done;
+
+        void complete(const CmdResult &r);
+    };
+
     /** Defer @p task (moving it out) while checkpoint-locked; true
      *  when deferred. */
     bool maybeDefer(InlineCallback &task);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "engine/record.h"
 
@@ -30,9 +31,7 @@ KvEngine::KvEngine(SimContext &ctx, Ssd &ssd, const EngineConfig &cfg)
       layout_(DiskLayout::compute(cfg, ssd.capacitySectors(),
                                   ssd.ftl().sectorsPerUnit())),
       keymap_(cfg.recordCount),
-      journal_(ctx, ssd, layout_, cfg_, stats_),
-      strategy_(CheckpointStrategy::create(ssd, layout_, cfg_,
-                                           stats_))
+      journal_(ctx, ssd, layout_, cfg_, stats_)
 {
     journal_.setPressureCallback([this] {
         requestCheckpoint(obs::CkptTrigger::SpacePressure);
@@ -69,27 +68,10 @@ KvEngine::load(
         st.catalogChunks = chunks;
     }
     // Persist the full catalog.
-    const auto g = std::uint32_t(
-        std::max<std::uint32_t>(1, ssd_.ftl().sectorsPerUnit()));
     for (Lba base = layout_.catalogStart;
          base < layout_.catalogStart + layout_.catalogSectors;
-         base += g) {
-        std::vector<SectorData> payload(g);
-        for (std::uint32_t s = 0; s < g; ++s) {
-            for (std::uint32_t c = 0; c < kChunksPerSector; ++c) {
-                const std::uint64_t k =
-                    (base - layout_.catalogStart + s) *
-                        kCatalogEntriesPerSector +
-                    c;
-                if (k < cfg_.recordCount) {
-                    payload[s].chunks[c] = catalogToken(
-                        k, keymap_[k].catalogVersion,
-                        keymap_[k].catalogChunks);
-                }
-            }
-        }
-        ssd_.submitSync(Command::write(base, std::move(payload),
-                                       IoCause::Metadata));
+         base += catalogWriteSectors()) {
+        ssd_.submitSync(catalogWrite(base, {}));
     }
     stats_.add("engine.loadedKeys", cfg_.recordCount);
 }
@@ -238,70 +220,132 @@ KvEngine::runCheckpoint()
             }
         }
         const std::uint8_t half = journal_.activeHalf() ^ 1;
-        // Tombstones do not move data; they trim their targets.
-        auto values = std::make_shared<std::vector<JmtEntry>>();
-        auto tombs = std::make_shared<std::vector<JmtEntry>>();
-        for (const JmtEntry &e : *entries) {
-            (e.payloadBytes == 0 ? *tombs : *values).push_back(e);
-        }
-        strategy_->run(*values, [this, entries, tombs, half](Tick) {
-            trimTombstones(*tombs, [this, entries, half](Tick) {
-                onStrategyDone(*entries, half);
+        fold(*entries, [this, entries, half](Tick) {
+            noteFolded(*entries);
+            markDataDone(entries->size());
+            writeCatalog(*entries, [this, half](Tick t2) {
+                markMetaDone(t2);
+                deleteLogs(half, [this, half](Tick t3) {
+                    markDeleteDone(t3);
+                    journal_.onHalfFreed(half);
+                    finishCheckpoint(t3, half);
+                });
             });
         });
     });
 }
 
-void
-KvEngine::trimTombstones(const std::vector<JmtEntry> &tombs,
-                         std::function<void(Tick)> cb)
+CowPair
+KvEngine::pairFor(const JmtEntry &e) const
 {
-    std::vector<Command> trims;
-    trims.reserve(tombs.size());
-    for (const JmtEntry &e : tombs) {
-        sTombstoneTrims_.add();
-        trims.push_back(Command::trim(layout_.targetLba(e.key),
-                                      layout_.slotSectors));
-    }
-    submitAll(std::move(trims), std::move(cb));
+    return CowPair::make(
+        layout_.journalChunkLba(e.half, e.chunkOff),
+        std::uint32_t(e.chunkOff % kChunksPerSector),
+        layout_.targetLba(e.key), e.chunks, e.version,
+        /*force_copy=*/e.type == LogType::Merged ||
+            e.type == LogType::Partial);
 }
 
 void
-KvEngine::onStrategyDone(const std::vector<JmtEntry> &entries,
-                         std::uint8_t half)
+KvEngine::fold(const std::vector<JmtEntry> &entries,
+               std::function<void(Tick)> done)
+{
+    auto pairs = std::make_shared<std::vector<CowPair>>();
+    auto tombs = std::make_shared<std::vector<Lba>>();
+    for (const JmtEntry &e : entries) {
+        if (e.payloadBytes == 0)
+            tombs->push_back(layout_.targetLba(e.key));
+        else
+            pairs->push_back(pairFor(e));
+    }
+    // Tombstones move no data: they trim their slots once the values
+    // have moved.
+    auto trim = [this, tombs, done = std::move(done)](Tick moved) {
+        auto make = [&](std::size_t i) {
+            sTombstoneTrims_.add();
+            return Command::trim((*tombs)[i], layout_.slotSectors);
+        };
+        submitAll(tombs->size(), make, [moved, done](Tick trimmed) {
+            done(std::max(moved, trimmed));
+        });
+    };
+    const std::size_t n = pairs->size();
+    switch (cfg_.mode) {
+      case CheckpointMode::Baseline: {
+        // The host reads every record into a buffer of its own (paper
+        // §II-B), then rewrites the data area from it. The image is
+        // taken at submission, when the functional state is
+        // consistent.
+        using Images = std::vector<std::vector<SectorData>>;
+        auto images = std::make_shared<Images>(n);
+        auto read = [&](std::size_t i) {
+            const CowPair &p = (*pairs)[i];
+            std::vector<SectorData> src(p.srcSectors());
+            ssd_.peek(p.src, p.srcSectors(), src.data());
+            (*images)[i].resize(p.dstSectors());
+            p.gather(src.data(), (*images)[i].data());
+            sHostReadSectors_.add(p.srcSectors());
+            return Command::read(p.src, p.srcSectors(),
+                                 IoCause::Checkpoint);
+        };
+        submitAll(n, read, [this, pairs, images, trim](Tick) {
+            auto write = [&](std::size_t i) {
+                const CowPair &p = (*pairs)[i];
+                sHostWriteSectors_.add(p.dstSectors());
+                return Command::write(p.dst, std::move((*images)[i]),
+                                      IoCause::Checkpoint, p.version);
+            };
+            submitAll(pairs->size(), write, trim);
+        });
+        return;
+      }
+      case CheckpointMode::IscA: {
+        auto make = [&](std::size_t i) {
+            sCowCommands_.add();
+            return Command::cowSingle((*pairs)[i]);
+        };
+        submitAll(n, make, std::move(trim));
+        return;
+      }
+      case CheckpointMode::IscB: {
+        auto make = [&](std::size_t b) {
+            sCowCommands_.add();
+            return Command::cowMulti(batch(*pairs, b));
+        };
+        submitAll(batchCount(n), make, std::move(trim));
+        return;
+      }
+      case CheckpointMode::IscC:
+      case CheckpointMode::CheckIn: {
+        auto make = [&](std::size_t b) {
+            sRemapCommands_.add();
+            return Command::checkpointRemap(batch(*pairs, b));
+        };
+        submitAll(batchCount(n), make, std::move(trim));
+        return;
+      }
+    }
+}
+
+void
+KvEngine::noteFolded(const std::vector<JmtEntry> &entries)
 {
     for (const JmtEntry &e : entries) {
         KeyState &st = keymap_[e.key];
-        // The data area now holds this version; reads of keys not
-        // updated since switch back to the data area.
-        if (st.inJournal && st.half == half &&
+        if (st.inJournal && st.half == e.half &&
             st.version == e.version) {
             st.inJournal = false;
         }
         st.catalogVersion = e.version;
         st.catalogChunks = e.payloadBytes == 0 ? 0 : e.chunks;
     }
-    markDataDone(entries.size());
-    writeCatalog(entries, [this, half](Tick t2) {
-        markMetaDone(t2);
-        deleteLogs(half, [this, half](Tick t3) {
-            markDeleteDone(t3);
-            journal_.onHalfFreed(half);
-            finishCheckpoint(t3, half);
-        });
-    });
 }
 
 void
 KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
                        std::function<void(Tick)> cb)
 {
-    if (entries.empty()) {
-        cb(eq_.now());
-        return;
-    }
-    const auto g = std::uint32_t(
-        std::max<std::uint32_t>(1, ssd_.ftl().sectorsPerUnit()));
+    const std::uint32_t g = catalogWriteSectors();
     std::vector<Lba> bases;
     bases.reserve(entries.size());
     for (const JmtEntry &e : entries) {
@@ -311,33 +355,39 @@ KvEngine::writeCatalog(const std::vector<JmtEntry> &entries,
     }
     std::sort(bases.begin(), bases.end());
     bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
-    auto job = std::make_shared<FanOut>();
-    job->outstanding = bases.size();
-    job->done = std::move(cb);
-    for (Lba base : bases) {
-        // Build each payload just before its submit, so every write
-        // reuses the buffer the last one handed back.
-        std::vector<SectorData> payload = ssd_.takePayloadBuffer();
-        payload.resize(g);
-        for (std::uint32_t s = 0; s < g; ++s) {
-            for (std::uint32_t c = 0; c < kChunksPerSector; ++c) {
-                const std::uint64_t k =
-                    (base - layout_.catalogStart + s) *
-                        kCatalogEntriesPerSector +
-                    c;
-                if (k < cfg_.recordCount &&
-                    keymap_[k].catalogVersion > 0) {
-                    payload[s].chunks[c] = catalogToken(
-                        k, keymap_[k].catalogVersion,
-                        keymap_[k].catalogChunks);
-                }
+    // Each write reuses the buffer the last one handed back.
+    auto make = [&](std::size_t i) {
+        sCatalogSectors_.add(g);
+        return catalogWrite(bases[i], ssd_.takePayloadBuffer());
+    };
+    submitAll(bases.size(), make, std::move(cb));
+}
+
+std::uint32_t
+KvEngine::catalogWriteSectors() const
+{
+    return std::max<std::uint32_t>(1, ssd_.ftl().sectorsPerUnit());
+}
+
+Command
+KvEngine::catalogWrite(Lba base, std::vector<SectorData> payload) const
+{
+    const std::uint32_t g = catalogWriteSectors();
+    payload.resize(g);
+    for (std::uint32_t s = 0; s < g; ++s) {
+        for (std::uint32_t c = 0; c < kChunksPerSector; ++c) {
+            const std::uint64_t k =
+                (base - layout_.catalogStart + s) *
+                    kCatalogEntriesPerSector +
+                c;
+            if (k < cfg_.recordCount && keymap_[k].catalogVersion > 0) {
+                payload[s].chunks[c] =
+                    catalogToken(k, keymap_[k].catalogVersion,
+                                 keymap_[k].catalogChunks);
             }
         }
-        sCatalogSectors_.add(g);
-        ssd_.submit(Command::write(base, std::move(payload),
-                                   IoCause::Metadata),
-                    [job](const CmdResult &r) { job->complete(r); });
     }
+    return Command::write(base, std::move(payload), IoCause::Metadata);
 }
 
 void
@@ -353,52 +403,6 @@ KvEngine::deleteLogs(std::uint8_t half, std::function<void(Tick)> cb)
                 [cb = std::move(cb)](const CmdResult &r) {
                     cb(r.require());
                 });
-}
-
-std::vector<KvEngine::ParsedLog>
-KvEngine::parseJournalHalf(std::uint8_t half) const
-{
-    const std::uint64_t nchunks = layout_.journalChunks();
-    std::vector<std::uint64_t> toks(nchunks, 0);
-    const std::uint64_t nsect = layout_.journalSectors;
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(layout_.journalStart[half], std::uint32_t(nsect),
-              buf.data());
-    for (std::uint64_t s = 0; s < nsect; ++s) {
-        for (std::uint32_t c = 0; c < kChunksPerSector; ++c)
-            toks[s * kChunksPerSector + c] = buf[s].chunks[c];
-    }
-    std::vector<ParsedLog> logs;
-    std::uint64_t pos = 0;
-    while (pos < nchunks) {
-        const DecodedToken d = decodeToken(toks[pos]);
-        if (d.tag == TokenTag::Tombstone) {
-            // chunks == 0 marks a deletion record.
-            logs.push_back(ParsedLog{d.key,
-                                     std::uint32_t(d.version), half,
-                                     pos, 0});
-            ++pos;
-            continue;
-        }
-        if (d.tag != TokenTag::Data || d.aux != 0) {
-            ++pos;
-            continue;
-        }
-        std::uint64_t n = 1;
-        while (pos + n < nchunks) {
-            const DecodedToken dn = decodeToken(toks[pos + n]);
-            if (dn.tag == TokenTag::Data && dn.key == d.key &&
-                dn.version == d.version && dn.aux == n) {
-                ++n;
-            } else {
-                break;
-            }
-        }
-        logs.push_back(ParsedLog{d.key, std::uint32_t(d.version),
-                                 half, pos, std::uint32_t(n)});
-        pos += n;
-    }
-    return logs;
 }
 
 RecoveryInfo
@@ -431,82 +435,66 @@ KvEngine::recover()
         ++info.catalogKeys;
     }
 
-    // 2. Scan both journal halves (pre-read + parse, paper §III-G).
-    std::vector<ParsedLog> latest_logs;
-    {
-        std::unordered_map<std::uint64_t, ParsedLog> latest;
-        for (std::uint8_t half = 0; half < 2; ++half) {
-            ssd_.submitSync(Command::read(layout_.journalStart[half],
-                                          layout_.journalSectors,
-                                          IoCause::Journal));
-            for (const ParsedLog &log : parseJournalHalf(half)) {
-                if (log.version <= keymap_[log.key].catalogVersion)
-                    continue;
-                auto it = latest.find(log.key);
-                if (it == latest.end() ||
-                    it->second.version < log.version) {
-                    latest[log.key] = log;
-                }
-            }
-        }
-        latest_logs.reserve(latest.size());
-        for (auto &[k, log] : latest)
-            latest_logs.push_back(log);
-    }
-    info.replayedLogs = latest_logs.size();
-
-    // 3. Apply replayed logs to the keymap and re-checkpoint them so
-    //    the store restarts clean (data area authoritative).
-    std::vector<JmtEntry> entries;
-    entries.reserve(latest_logs.size());
+    // 2. Scan both journal halves (pre-read + parse, paper §III-G)
+    //    for each key's newest record past the catalog.
     const std::uint32_t uc =
         ssd_.ftl().mappingUnitBytes() / kChunkBytes;
-    for (const ParsedLog &log : latest_logs) {
-        const bool tombstone = log.chunks == 0;
-        KeyState &st = keymap_[log.key];
-        st.version = log.version;
-        st.assignedVersion = log.version;
-        st.storedChunks = tombstone ? 0 : log.chunks;
+    std::unordered_map<std::uint64_t, JmtEntry> latest;
+    std::vector<SectorData> buf(layout_.journalSectors);
+    for (std::uint8_t half = 0; half < 2; ++half) {
+        ssd_.submitSync(Command::read(layout_.journalStart[half],
+                                      layout_.journalSectors,
+                                      IoCause::Journal));
+        ssd_.peek(layout_.journalStart[half], std::uint32_t(buf.size()),
+                  buf.data());
+        parseRecords(buf.data(), buf.size(), 1,
+                     [&](const ParsedRecord &r) {
+            if (r.version <= keymap_[r.key].catalogVersion)
+                return;
+            auto it = latest.find(r.key);
+            if (it != latest.end() && it->second.version >= r.version)
+                return;
+            const bool tombstone = r.chunks == 0;
+            JmtEntry e;
+            e.key = r.key;
+            e.version = r.version;
+            e.half = half;
+            e.chunkOff = r.chunkOff;
+            e.chunks = tombstone ? 1 : r.chunks;
+            e.payloadBytes = tombstone ? 0 : r.chunks * kChunkBytes;
+            e.type = (!tombstone && r.chunkOff % uc == 0 &&
+                      r.chunks % uc == 0)
+                         ? LogType::Full
+                         : LogType::Partial;
+            latest[r.key] = e;
+        });
+    }
+    info.replayedLogs = latest.size();
+
+    // 3. Point the keymap at the replayed records and fold them like a
+    //    checkpoint, so the store restarts clean (data area
+    //    authoritative).
+    std::vector<JmtEntry> entries;
+    entries.reserve(latest.size());
+    for (const auto &[key, e] : latest) {
+        KeyState &st = keymap_[key];
+        st.version = e.version;
+        st.assignedVersion = e.version;
+        st.storedChunks = e.payloadBytes == 0 ? 0 : e.chunks;
         st.inJournal = true;
-        st.half = log.half;
-        st.journalChunk = log.chunkOff;
-        JmtEntry e;
-        e.key = log.key;
-        e.version = log.version;
-        e.half = log.half;
-        e.chunkOff = log.chunkOff;
-        e.chunks = tombstone ? 1 : log.chunks;
-        e.payloadBytes = tombstone ? 0 : log.chunks * kChunkBytes;
-        e.type = (!tombstone && log.chunkOff % uc == 0 &&
-                  log.chunks % uc == 0)
-                     ? LogType::Full
-                     : LogType::Partial;
+        st.half = e.half;
+        st.journalChunk = e.chunkOff;
         entries.push_back(e);
     }
-
-    std::vector<JmtEntry> values;
-    std::vector<JmtEntry> tombs;
-    for (const JmtEntry &e : entries)
-        (e.payloadBytes == 0 ? tombs : values).push_back(e);
-
     bool finished = false;
     Tick end_tick = eq_.now();
-    strategy_->run(values, [&](Tick t_values) {
-        trimTombstones(tombs, [&, t_values](Tick t_tombs) {
-            const Tick t = std::max(t_values, t_tombs);
-            for (const JmtEntry &e : entries) {
-                KeyState &st = keymap_[e.key];
-                st.inJournal = false;
-                st.catalogVersion = e.version;
-                st.catalogChunks =
-                    e.payloadBytes == 0 ? 0 : e.chunks;
-            }
-            writeCatalog(entries, [&, t](Tick t2) {
-                deleteLogs(0, [&, t, t2](Tick t3) {
-                    deleteLogs(1, [&, t, t2, t3](Tick t4) {
-                        finished = true;
-                        end_tick = std::max({t, t2, t3, t4});
-                    });
+    fold(entries, [&](Tick t) {
+        noteFolded(entries);
+        writeCatalog(entries, [&, t](Tick t2) {
+            deleteLogs(0, [&, t, t2](Tick t3) {
+                deleteLogs(1, [&, t, t2, t3](Tick t4) {
+                    finished = true;
+                    end_tick = std::max({t, t2, t3, t4});
                 });
             });
         });

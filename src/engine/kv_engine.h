@@ -9,10 +9,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "engine/checkpoint.h"
 #include "engine/engine_config.h"
 #include "engine/engine_core.h"
 #include "engine/journal.h"
@@ -61,15 +59,6 @@ class KvEngine final : public EngineCore
     JournalManager &journal() { return journal_; }
 
   private:
-    struct ParsedLog
-    {
-        std::uint64_t key;
-        std::uint32_t version;
-        std::uint8_t half;
-        std::uint64_t chunkOff;
-        std::uint32_t chunks;
-    };
-
     // EngineCore hooks.
     Located locate(std::uint64_t key) const override;
     /** A delete journals a tombstone; the next checkpoint trims the
@@ -94,28 +83,44 @@ class KvEngine final : public EngineCore
 
     /** Point @p e's key at its journal record, if newer. */
     void applyCommit(const JmtEntry &e);
-    /** Trim the data-area slots of deleted keys (fan-out). */
-    void trimTombstones(const std::vector<JmtEntry> &tombs,
-                        std::function<void(Tick)> cb);
-    void onStrategyDone(const std::vector<JmtEntry> &entries,
-                        std::uint8_t half);
+    /** The chunk-precise CoW descriptor of @p e's record. */
+    CowPair pairFor(const JmtEntry &e) const;
+    /**
+     * Move the records of @p entries from the journal to their
+     * data-area slots with the mode's command (paper §IV-A): Baseline
+     * reads them to the host and writes them back, ISC-A sends one
+     * CowSingle per record, ISC-B batched CowMulti, and ISC-C and
+     * Check-In batched CheckpointRemap. Tombstones then trim their
+     * slots. @p done fires with the last completion tick.
+     */
+    void fold(const std::vector<JmtEntry> &entries,
+              std::function<void(Tick)> done);
+    /** The data area now holds @p entries: reads of keys not updated
+     *  since switch back to it, and the catalog entries follow. */
+    void noteFolded(const std::vector<JmtEntry> &entries);
     /**
      * Persist catalog entries for @p entries (their data-area state
      * changed) and fire @p cb when all metadata writes completed.
      */
     void writeCatalog(const std::vector<JmtEntry> &entries,
                       std::function<void(Tick)> cb);
+    /** Sectors per catalog write: one mapping unit. */
+    std::uint32_t catalogWriteSectors() const;
+    /** The catalog write at @p base, built from the keymap into
+     *  @p payload's storage. */
+    Command catalogWrite(Lba base, std::vector<SectorData> payload) const;
     void deleteLogs(std::uint8_t half, std::function<void(Tick)> cb);
-
-    /** Parse all journal records out of @p half (recovery). */
-    std::vector<ParsedLog> parseJournalHalf(std::uint8_t half) const;
 
     DiskLayout layout_;
     Keymap keymap_;
     JournalManager journal_;
-    std::unique_ptr<CheckpointStrategy> strategy_;
 
-    // Per-entry counters, interned on their first add.
+    // Per-entry and per-command counters, interned on their first add.
+    StatHandle sHostReadSectors_{stats_, "engine.ckptHostReadSectors"};
+    StatHandle sHostWriteSectors_{stats_,
+                                  "engine.ckptHostWriteSectors"};
+    StatHandle sCowCommands_{stats_, "engine.ckptCowCommands"};
+    StatHandle sRemapCommands_{stats_, "engine.ckptRemapCommands"};
     StatHandle sTombstoneTrims_{stats_, "engine.ckptTombstoneTrims"};
     StatHandle sCatalogSectors_{stats_,
                                 "engine.catalogSectorsWritten"};

@@ -72,6 +72,14 @@ LsmEngine::lbaOf(const Loc &loc) const
     throw std::logic_error("lsm: record has no location");
 }
 
+CowPair
+LsmEngine::unitPair(Lba src, Lba dst, std::uint32_t units,
+                    bool force_copy)
+{
+    return CowPair::make(src, 0, dst, units * layout_.unitChunks(),
+                         globalSeq_++, force_copy);
+}
+
 std::uint32_t
 LsmEngine::reserveRegion()
 {
@@ -457,27 +465,21 @@ LsmEngine::onWalQuiesced()
     // Promote the frozen half with identity-offset remap pairs: WAL
     // unit i becomes region unit i, exactly what the append-time OOB
     // annotations already promise the device.
-    const std::uint32_t unit_chunks = layout_.unitChunks();
-    std::vector<Command> cmds;
     std::vector<CowPair> pairs;
+    pairs.reserve(recs->size());
     for (const WalRec &r : *recs) {
-        pairs.push_back(CowPair::make(
-            layout_.walLba(half, r.unitOff), 0,
-            layout_.l0Lba(region, r.unitOff), r.units * unit_chunks,
-            globalSeq_++, /*force_copy=*/false));
-        if (pairs.size() == cfg_.maxPairsPerCommand) {
-            cmds.push_back(
-                Command::checkpointRemap(std::move(pairs)));
-            pairs.clear();
-        }
+        pairs.push_back(unitPair(layout_.walLba(half, r.unitOff),
+                                 layout_.l0Lba(region, r.unitOff),
+                                 r.units, /*force_copy=*/false));
     }
-    if (!pairs.empty())
-        cmds.push_back(Command::checkpointRemap(std::move(pairs)));
-    if (!cmds.empty())
-        stats_.add("engine.ckptRemapCommands", cmds.size());
-    submitAll(std::move(cmds), [this, half, region, recs](Tick) {
-        onFlushDataDone(half, region, *recs);
-    });
+    auto make = [&](std::size_t b) {
+        stats_.add("engine.ckptRemapCommands");
+        return Command::checkpointRemap(batch(pairs, b));
+    };
+    submitAll(batchCount(pairs.size()), make,
+              [this, half, region, recs](Tick) {
+                  onFlushDataDone(half, region, *recs);
+              });
 }
 
 void
@@ -524,40 +526,52 @@ LsmEngine::onFlushDataDone(std::uint8_t half, std::uint32_t region,
 // Compaction
 // ----------------------------------------------------------------------
 
-std::vector<LsmEngine::CompactMove>
-LsmEngine::planCompaction() const
+LsmEngine::Compaction
+LsmEngine::planCompaction()
 {
     // Fold every key's newest data-area copy — tombstones included,
     // so version ordering survives trimmed-WAL resurrection after a
     // power-loss rebuild — into the other L1 ping, packed in key
     // order. The merge itself runs inside the device (force-copy CoW
     // pairs); the host only names source and destination.
-    std::vector<CompactMove> moves;
+    stats_.add("engine.compactions");
+    Compaction c;
+    c.oldPing = ping_;
+    c.oldL1Units = l1UsedUnits_[ping_];
+    for (std::uint32_t r = 0; r < kLsmL0Regions; ++r) {
+        if (regionUsedUnits_[r] > 0)
+            c.regions.push_back(r);
+    }
     std::uint64_t cursor = 0;
     for (std::uint64_t key = 0; key < cfg_.recordCount; ++key) {
         const KeyState &st = keymap_[key];
         if (st.dataVersion == 0)
             continue;
-        CompactMove m;
-        m.key = key;
-        m.version = st.dataVersion;
-        m.chunks = st.dataChunks;
-        m.srcLba = lbaOf(st.dataLoc);
-        m.dstUnitOff = cursor;
-        m.units = recordUnits(st.dataChunks);
+        const CompactMove m{key, st.dataVersion, cursor,
+                            recordUnits(st.dataChunks)};
+        c.pairs.push_back(unitPair(lbaOf(st.dataLoc),
+                                   layout_.l1Lba(c.oldPing ^ 1, cursor),
+                                   m.units, /*force_copy=*/true));
+        c.moves.push_back(m);
         cursor += m.units;
-        moves.push_back(m);
     }
     assert(cursor <= layout_.l1Units());
-    return moves;
+    return c;
+}
+
+Command
+LsmEngine::compactionBatch(const Compaction &c, std::size_t b)
+{
+    stats_.add("engine.compactionCowCommands");
+    return Command::checkpointRemap(batch(c.pairs, b));
 }
 
 void
-LsmEngine::applyCompaction(const std::vector<CompactMove> &moves,
-                           std::uint8_t new_ping)
+LsmEngine::applyCompaction(const Compaction &c)
 {
+    const std::uint8_t new_ping = c.oldPing ^ 1;
     std::uint64_t cursor = 0;
-    for (const CompactMove &m : moves) {
+    for (const CompactMove &m : c.moves) {
         KeyState &st = keymap_[m.key];
         const Loc nl{Loc::Area::L1, new_ping, m.dstUnitOff};
         if (st.version == m.version)
@@ -565,10 +579,9 @@ LsmEngine::applyCompaction(const std::vector<CompactMove> &moves,
         st.dataLoc = nl;
         cursor = m.dstUnitOff + m.units;
     }
-    const std::uint8_t old_ping = ping_;
     ping_ = new_ping;
     l1UsedUnits_[new_ping] = cursor;
-    l1UsedUnits_[old_ping] = 0;
+    l1UsedUnits_[c.oldPing] = 0;
     for (std::uint32_t r = 0; r < kLsmL0Regions; ++r) {
         if (regionUsedUnits_[r] > 0) {
             regionUsedUnits_[r] = 0;
@@ -576,74 +589,42 @@ LsmEngine::applyCompaction(const std::vector<CompactMove> &moves,
         }
     }
     usedRuns_ = 0;
-    stats_.add("engine.compactedRecords", moves.size());
+    stats_.add("engine.compactedRecords", c.moves.size());
     stats_.add("engine.mergedUnits", cursor);
 }
 
-void
-LsmEngine::compactionTrims(std::uint8_t old_ping,
-                           const std::vector<std::uint32_t> &regions,
-                           std::uint64_t old_l1_units,
-                           std::function<void(Tick)> cb)
+std::vector<Command>
+LsmEngine::compactionTrims(const Compaction &c) const
 {
     std::vector<Command> trims;
-    for (std::uint32_t r : regions) {
+    for (std::uint32_t r : c.regions) {
         trims.push_back(
             Command::trim(layout_.l0Lba(r, 0), layout_.regionSectors));
     }
-    if (old_l1_units > 0) {
-        trims.push_back(Command::trim(layout_.l1Lba(old_ping, 0),
+    if (c.oldL1Units > 0) {
+        trims.push_back(Command::trim(layout_.l1Lba(c.oldPing, 0),
                                       layout_.l1Sectors));
     }
-    submitAll(std::move(trims), std::move(cb));
+    return trims;
 }
 
 void
 LsmEngine::startCompaction()
 {
-    stats_.add("engine.compactions");
-    const std::uint8_t old_ping = ping_;
-    const std::uint8_t new_ping = ping_ ^ 1;
-    const std::uint64_t old_l1_units = l1UsedUnits_[old_ping];
-    auto regions = std::make_shared<std::vector<std::uint32_t>>();
-    for (std::uint32_t r = 0; r < kLsmL0Regions; ++r) {
-        if (regionUsedUnits_[r] > 0)
-            regions->push_back(r);
-    }
-    auto moves = std::make_shared<std::vector<CompactMove>>(
-        planCompaction());
+    auto c = std::make_shared<Compaction>(planCompaction());
     obs::instant(obs::Cat::Engine, kCkptLane, "compact.start",
-                 eq_.now(), {{"records", moves->size()}});
-
-    const std::uint32_t unit_chunks = layout_.unitChunks();
-    std::vector<Command> cmds;
-    std::vector<CowPair> pairs;
-    for (const CompactMove &m : *moves) {
-        pairs.push_back(CowPair::make(
-            m.srcLba, 0, layout_.l1Lba(new_ping, m.dstUnitOff),
-            m.units * unit_chunks, globalSeq_++,
-            /*force_copy=*/true));
-        if (pairs.size() == cfg_.maxPairsPerCommand) {
-            cmds.push_back(
-                Command::checkpointRemap(std::move(pairs)));
-            pairs.clear();
-        }
-    }
-    if (!pairs.empty())
-        cmds.push_back(Command::checkpointRemap(std::move(pairs)));
-
-    if (!cmds.empty())
-        stats_.add("engine.compactionCowCommands", cmds.size());
-    submitAll(std::move(cmds), [this, moves, regions, old_ping, new_ping,
-                                old_l1_units](Tick) {
-        applyCompaction(*moves, new_ping);
+                 eq_.now(), {{"records", c->moves.size()}});
+    auto make = [&](std::size_t b) { return compactionBatch(*c, b); };
+    submitAll(batchCount(c->pairs.size()), make, [this, c](Tick) {
+        applyCompaction(*c);
         // Manifest (new ping, regions cleared) before the trims.
         ssd_.submit(buildManifestCommand(),
-                    [this, regions, old_ping,
-                     old_l1_units](const CmdResult &r) {
+                    [this, c](const CmdResult &r) {
             r.require();
-            compactionTrims(old_ping, *regions, old_l1_units,
-                            [this](Tick t3) { finishCheckpoint(t3); });
+            std::vector<Command> trims = compactionTrims(*c);
+            auto trim = [&](std::size_t i) { return std::move(trims[i]); };
+            submitAll(trims.size(), trim,
+                      [this](Tick t3) { finishCheckpoint(t3); });
         });
     });
 }
@@ -704,53 +685,6 @@ LsmEngine::readManifest() const
 // Recovery
 // ----------------------------------------------------------------------
 
-std::vector<LsmEngine::ParsedRec>
-LsmEngine::parseArea(Lba start_lba, std::uint64_t units) const
-{
-    const std::uint32_t unit_chunks = layout_.unitChunks();
-    const std::uint64_t nsect = units * layout_.unitSectors;
-    std::vector<SectorData> buf(nsect);
-    ssd_.peek(start_lba, std::uint32_t(nsect), buf.data());
-    std::vector<std::uint64_t> toks(units * unit_chunks, 0);
-    for (std::uint64_t s = 0; s < nsect; ++s) {
-        for (std::uint32_t c = 0; c < kChunksPerSector; ++c)
-            toks[s * kChunksPerSector + c] = buf[s].chunks[c];
-    }
-    std::vector<ParsedRec> recs;
-    std::uint64_t u = 0;
-    while (u < units) {
-        const std::uint64_t pos = u * unit_chunks;
-        const DecodedToken d = decodeToken(toks[pos]);
-        if (d.tag == TokenTag::Tombstone) {
-            recs.push_back(ParsedRec{d.key,
-                                     std::uint32_t(d.version), 0, u,
-                                     1});
-            ++u;
-            continue;
-        }
-        if (d.tag != TokenTag::Data || d.aux != 0) {
-            ++u;
-            continue;
-        }
-        std::uint64_t n = 1;
-        while (pos + n < toks.size()) {
-            const DecodedToken dn = decodeToken(toks[pos + n]);
-            if (dn.tag == TokenTag::Data && dn.key == d.key &&
-                dn.version == d.version && dn.aux == n) {
-                ++n;
-            } else {
-                break;
-            }
-        }
-        const auto rec_units =
-            std::uint32_t(divCeil(n, unit_chunks));
-        recs.push_back(ParsedRec{d.key, std::uint32_t(d.version),
-                                 std::uint32_t(n), u, rec_units});
-        u += rec_units;
-    }
-    return recs;
-}
-
 RecoveryInfo
 LsmEngine::recover()
 {
@@ -782,39 +716,44 @@ LsmEngine::recover()
                  kLsmL0Regions * layout_.walUnits() +
                  2 * layout_.l1Units() + 1024;
 
+    // Read @p units units at @p start and parse their records, each
+    // unit-aligned.
+    const std::uint32_t unit_chunks = layout_.unitChunks();
+    std::vector<SectorData> buf;
+    auto scan = [&](Lba start, std::uint64_t units, IoCause cause,
+                    auto &&emit) {
+        const std::uint64_t nsect = units * layout_.unitSectors;
+        sync(Command::read(start, nsect, cause));
+        buf.resize(nsect);
+        ssd_.peek(start, std::uint32_t(nsect), buf.data());
+        parseRecords(buf.data(), nsect, unit_chunks, emit);
+    };
+
     // 2. Scan the authoritative data areas: L1 ping, then used L0
     //    regions (token versions arbitrate, so order is immaterial).
-    auto apply_data = [this](const ParsedRec &r, const Loc &loc) {
+    auto apply_data = [this, unit_chunks](const ParsedRecord &r,
+                                          Loc::Area area,
+                                          std::uint8_t idx) {
         KeyState &st = keymap_[r.key];
         if (r.version > st.dataVersion) {
             st.dataVersion = r.version;
             st.dataChunks = r.chunks;
-            st.dataLoc = loc;
+            st.dataLoc = Loc{area, idx, r.chunkOff / unit_chunks};
         }
     };
     if (l1UsedUnits_[ping_] > 0) {
-        sync(Command::read(layout_.l1Lba(ping_, 0),
-                           l1UsedUnits_[ping_] * layout_.unitSectors,
-                           IoCause::Query));
-        for (const ParsedRec &r :
-             parseArea(layout_.l1Lba(ping_, 0),
-                       l1UsedUnits_[ping_])) {
-            apply_data(r, Loc{Loc::Area::L1, ping_, r.unitOff});
-        }
+        scan(layout_.l1Lba(ping_, 0), l1UsedUnits_[ping_],
+             IoCause::Query, [&](const ParsedRecord &r) {
+                 apply_data(r, Loc::Area::L1, ping_);
+             });
     }
     for (std::uint32_t reg = 0; reg < kLsmL0Regions; ++reg) {
         if (regionUsedUnits_[reg] == 0)
             continue;
-        sync(Command::read(layout_.l0Lba(reg, 0),
-                           regionUsedUnits_[reg] *
-                               layout_.unitSectors,
-                           IoCause::Query));
-        for (const ParsedRec &r :
-             parseArea(layout_.l0Lba(reg, 0),
-                       regionUsedUnits_[reg])) {
-            apply_data(r, Loc{Loc::Area::L0, std::uint8_t(reg),
-                              r.unitOff});
-        }
+        scan(layout_.l0Lba(reg, 0), regionUsedUnits_[reg],
+             IoCause::Query, [&](const ParsedRecord &r) {
+                 apply_data(r, Loc::Area::L0, std::uint8_t(reg));
+             });
     }
     for (std::uint64_t key = 0; key < cfg_.recordCount; ++key) {
         KeyState &st = keymap_[key];
@@ -842,47 +781,40 @@ LsmEngine::recover()
     };
     std::vector<Replay> best(cfg_.recordCount);
     for (std::uint8_t half = 0; half < 2; ++half) {
-        sync(Command::read(layout_.walStart[half],
-                           layout_.walSectors, IoCause::Journal));
-        for (const ParsedRec &r :
-             parseArea(layout_.walStart[half], layout_.walUnits())) {
-            if (r.key >= cfg_.recordCount)
-                continue;
-            if (r.version <= keymap_[r.key].dataVersion)
-                continue;
-            Replay &b = best[r.key];
-            if (r.version > b.version) {
-                b.version = r.version;
-                b.chunks = r.chunks;
-                b.half = half;
-                b.unitOff = r.unitOff;
-                b.units = r.units;
-            }
-        }
+        scan(layout_.walStart[half], layout_.walUnits(),
+             IoCause::Journal, [&](const ParsedRecord &r) {
+                 if (r.key >= cfg_.recordCount ||
+                     r.version <= keymap_[r.key].dataVersion) {
+                     return;
+                 }
+                 Replay &b = best[r.key];
+                 if (r.version > b.version) {
+                     b.version = r.version;
+                     b.chunks = r.chunks;
+                     b.half = half;
+                     b.unitOff = r.chunkOff / unit_chunks;
+                     b.units = recordUnits(r.chunks);
+                 }
+             });
     }
 
     // 4. Re-flush the replay set into a free region. Force-copy, not
     //    remap: the replayed units' stale annotations may target a
     //    different region, so only a fresh durable write is safe.
-    std::uint64_t replayed = 0;
-    for (const Replay &b : best) {
-        if (b.version > 0)
-            ++replayed;
-    }
+    const auto replayed = std::uint64_t(std::count_if(
+        best.begin(), best.end(),
+        [](const Replay &b) { return b.version > 0; }));
     if (replayed > 0) {
         const std::uint32_t region = reserveRegion();
-        const std::uint32_t unit_chunks = layout_.unitChunks();
         std::uint64_t cursor = 0;
         std::vector<CowPair> pairs;
         for (std::uint64_t key = 0; key < cfg_.recordCount; ++key) {
             const Replay &b = best[key];
             if (b.version == 0)
                 continue;
-            pairs.push_back(CowPair::make(
-                layout_.walLba(b.half, b.unitOff), 0,
-                layout_.l0Lba(region, cursor),
-                b.units * unit_chunks, globalSeq_++,
-                /*force_copy=*/true));
+            pairs.push_back(unitPair(layout_.walLba(b.half, b.unitOff),
+                                     layout_.l0Lba(region, cursor),
+                                     b.units, /*force_copy=*/true));
             KeyState &st = keymap_[key];
             st.version = b.version;
             st.assignedVersion = b.version;
@@ -893,13 +825,9 @@ LsmEngine::recover()
             st.dataChunks = b.chunks;
             st.dataLoc = st.loc;
             cursor += b.units;
-            if (pairs.size() == cfg_.maxPairsPerCommand) {
-                sync(Command::checkpointRemap(std::move(pairs)));
-                pairs.clear();
-            }
         }
-        if (!pairs.empty())
-            sync(Command::checkpointRemap(std::move(pairs)));
+        for (std::size_t b = 0; b < batchCount(pairs.size()); ++b)
+            sync(Command::checkpointRemap(batch(pairs, b)));
         regionUsedUnits_[region] = cursor;
         ++usedRuns_;
     }
@@ -923,44 +851,13 @@ LsmEngine::recover()
     // 6. Compact synchronously if the replay pushed L0 to its limit,
     //    so the store restarts with compaction headroom.
     if (usedRuns_ >= kLsmCompactRuns) {
-        stats_.add("engine.compactions");
-        const std::uint8_t old_ping = ping_;
-        const std::uint8_t new_ping = ping_ ^ 1;
-        const std::uint64_t old_l1_units = l1UsedUnits_[old_ping];
-        std::vector<std::uint32_t> regions;
-        for (std::uint32_t r = 0; r < kLsmL0Regions; ++r) {
-            if (regionUsedUnits_[r] > 0)
-                regions.push_back(r);
-        }
-        const std::vector<CompactMove> moves = planCompaction();
-        const std::uint32_t unit_chunks = layout_.unitChunks();
-        std::vector<CowPair> pairs;
-        for (const CompactMove &mv : moves) {
-            pairs.push_back(CowPair::make(
-                mv.srcLba, 0,
-                layout_.l1Lba(new_ping, mv.dstUnitOff),
-                mv.units * unit_chunks, globalSeq_++,
-                /*force_copy=*/true));
-            if (pairs.size() == cfg_.maxPairsPerCommand) {
-                stats_.add("engine.compactionCowCommands");
-                sync(Command::checkpointRemap(std::move(pairs)));
-                pairs.clear();
-            }
-        }
-        if (!pairs.empty()) {
-            stats_.add("engine.compactionCowCommands");
-            sync(Command::checkpointRemap(std::move(pairs)));
-        }
-        applyCompaction(moves, new_ping);
+        const Compaction c = planCompaction();
+        for (std::size_t b = 0; b < batchCount(c.pairs.size()); ++b)
+            sync(compactionBatch(c, b));
+        applyCompaction(c);
         sync(buildManifestCommand());
-        for (std::uint32_t r : regions) {
-            sync(Command::trim(layout_.l0Lba(r, 0),
-                               layout_.regionSectors));
-        }
-        if (old_l1_units > 0) {
-            sync(Command::trim(layout_.l1Lba(old_ping, 0),
-                               layout_.l1Sectors));
-        }
+        for (const Command &trim : compactionTrims(c))
+            sync(trim);
     }
 
     // 7. Reset the WAL and arm the active half.

@@ -103,25 +103,24 @@ class LsmEngine final : public EngineCore
         std::function<void(const WalRec &, Tick)> cb;
     };
 
-    /** A record parsed back out of the device (recovery). */
-    struct ParsedRec
-    {
-        std::uint64_t key = 0;
-        std::uint32_t version = 0;
-        std::uint32_t chunks = 0; //!< 0 = tombstone
-        std::uint64_t unitOff = 0;
-        std::uint32_t units = 0;
-    };
-
     /** One record movement of a compaction plan. */
     struct CompactMove
     {
         std::uint64_t key = 0;
         std::uint32_t version = 0;
-        std::uint32_t chunks = 0;
-        Lba srcLba = 0;
         std::uint64_t dstUnitOff = 0;
         std::uint32_t units = 0;
+    };
+
+    /** One compaction: L0's runs and the current L1 ping, folded into
+     *  the other ping. */
+    struct Compaction
+    {
+        std::uint8_t oldPing = 0;
+        std::uint64_t oldL1Units = 0;
+        std::vector<std::uint32_t> regions; //!< the L0 runs folded
+        std::vector<CompactMove> moves;
+        std::vector<CowPair> pairs; //!< moves[i] as a CoW pair
     };
 
     /** Decoded manifest state. */
@@ -136,6 +135,10 @@ class LsmEngine final : public EngineCore
 
     std::uint32_t recordUnits(std::uint32_t chunks) const;
     Lba lbaOf(const Loc &loc) const;
+    /** A CoW pair moving @p units whole units from @p src to @p dst,
+     *  stamped with the next global sequence number. */
+    CowPair unitPair(Lba src, Lba dst, std::uint32_t units,
+                     bool force_copy);
 
     // EngineCore hooks.
     Located locate(std::uint64_t key) const override;
@@ -166,21 +169,20 @@ class LsmEngine final : public EngineCore
                          const std::vector<WalRec> &recs);
     std::uint32_t reserveRegion();
 
-    // Compaction.
-    std::vector<CompactMove> planCompaction() const;
+    // Compaction: planCompaction(), its batches, applyCompaction(),
+    // the manifest, then its trims. startCompaction() submits them
+    // asynchronously, recover() synchronously.
+    Compaction planCompaction();
     void startCompaction();
-    void applyCompaction(const std::vector<CompactMove> &moves,
-                         std::uint8_t new_ping);
-    void compactionTrims(std::uint8_t old_ping,
-                         const std::vector<std::uint32_t> &regions,
-                         std::uint64_t old_l1_units,
-                         std::function<void(Tick)> cb);
+    /** Command @p b of @p c's batched CoW pairs. */
+    Command compactionBatch(const Compaction &c, std::size_t b);
+    void applyCompaction(const Compaction &c);
+    /** Trims of the folded L0 regions and the old L1 ping. */
+    std::vector<Command> compactionTrims(const Compaction &c) const;
 
     // Manifest + recovery.
     Command buildManifestCommand();
     Manifest readManifest() const;
-    std::vector<ParsedRec> parseArea(Lba start_lba,
-                                     std::uint64_t units) const;
 
     LsmLayout layout_;
     std::vector<KeyState> keymap_;

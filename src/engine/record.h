@@ -8,7 +8,7 @@
  * auxiliary field (chunk index within the record, or stored-chunk
  * count for catalog entries). Tokens are bit-mixed so they look like
  * opaque data, and unmixed on read — recovery literally parses the
- * journal back out of the device.
+ * journal back out of the device (parseRecords()).
  */
 
 #ifndef CHECKIN_ENGINE_RECORD_H_
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "ftl/ftl.h"
 #include "sim/rng.h"
 #include "sim/types.h"
 
@@ -114,6 +115,57 @@ constexpr std::uint64_t
 tombstoneToken(std::uint64_t key, std::uint64_t version)
 {
     return packToken(TokenTag::Tombstone, key, version, 0);
+}
+
+/** A record parsed back out of the device (recovery). */
+struct ParsedRecord
+{
+    std::uint64_t key = 0;
+    std::uint32_t version = 0;
+    std::uint64_t chunkOff = 0; //!< first chunk, from the area's start
+    std::uint32_t chunks = 0;   //!< data chunks; 0 = tombstone
+};
+
+/**
+ * Parse the records out of @p nsect sectors of an area, as recovery
+ * reads them back: a record is a tombstone token, or the data tokens
+ * of chunks 0, 1, ... of one (key, version). Records start only at
+ * multiples of @p stride chunks (1 for the chunk-packed journal, a
+ * mapping unit for unit-aligned areas); anything else is skipped one
+ * stride at a time. Calls @p emit(const ParsedRecord &) per record,
+ * in area order.
+ */
+template <typename Emit>
+void
+parseRecords(const SectorData *sectors, std::uint64_t nsect,
+             std::uint32_t stride, Emit emit)
+{
+    const std::uint64_t nchunks = nsect * kChunksPerSector;
+    auto token = [sectors](std::uint64_t pos) {
+        return decodeToken(
+            sectors[pos / kChunksPerSector].chunks[pos % kChunksPerSector]);
+    };
+    std::uint64_t pos = 0;
+    while (pos < nchunks) {
+        const DecodedToken d = token(pos);
+        std::uint64_t n = 0; // data chunks of the record at pos
+        if (d.tag == TokenTag::Tombstone) {
+            emit(ParsedRecord{d.key, std::uint32_t(d.version), pos, 0});
+        } else if (d.tag == TokenTag::Data && d.aux == 0) {
+            n = 1;
+            while (pos + n < nchunks) {
+                const DecodedToken dn = token(pos + n);
+                if (dn.tag != TokenTag::Data || dn.key != d.key ||
+                    dn.version != d.version || dn.aux != n) {
+                    break;
+                }
+                ++n;
+            }
+            emit(ParsedRecord{d.key, std::uint32_t(d.version), pos,
+                              std::uint32_t(n)});
+        }
+        pos += (n == 0 ? 1 : divCeil(n, stride)) * stride;
+    }
 }
 
 } // namespace checkin

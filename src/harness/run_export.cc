@@ -4,8 +4,6 @@
 
 namespace checkin {
 
-namespace {
-
 void
 histJson(obs::JsonWriter &w, const std::string &key,
          const LatencyHistogram &h)
@@ -20,6 +18,8 @@ histJson(obs::JsonWriter &w, const std::string &key,
     w.kv("p999", h.quantile(0.999));
     w.endObject();
 }
+
+namespace {
 
 void
 classBreakdownsJson(

@@ -16,6 +16,11 @@
 
 namespace checkin {
 
+/** Write @p h as member @p key: count, max, mean, min and the p50,
+ *  p99 and p999 quantiles. */
+void histJson(obs::JsonWriter &w, const std::string &key,
+              const LatencyHistogram &h);
+
 /**
  * Write @p r as a JSON object (sorted keys, fixed number formatting).
  * Two identical runs produce byte-identical output.

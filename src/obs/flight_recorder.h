@@ -147,7 +147,7 @@ struct CheckpointStat
 {
     std::uint64_t seq = 0;
     CkptTrigger trigger = CkptTrigger::Manual;
-    Tick startTick = 0;    //!< quiesce completed, strategy started
+    Tick startTick = 0;    //!< quiesce completed, data movement started
     Tick dataDoneTick = 0; //!< value/data movement finished
     Tick metaDoneTick = 0; //!< catalog (metadata) persisted
     Tick endTick = 0;      //!< old logs deleted, checkpoint done

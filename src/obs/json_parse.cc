@@ -242,21 +242,33 @@ class Parser
         }
     }
 
+    /** Digits at the cursor; returns how many. */
+    std::size_t
+    digits()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < s_.size() &&
+               std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0)
+            ++pos_;
+        return pos_ - start;
+    }
+
+    /** RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? */
     JsonValue
     number()
     {
         const std::size_t start = pos_;
-        if (consume('-')) {
-        }
-        while (pos_ < s_.size() &&
-               (std::isdigit(static_cast<unsigned char>(s_[pos_])) !=
-                    0 ||
-                s_[pos_] == '.' || s_[pos_] == 'e' ||
-                s_[pos_] == 'E' || s_[pos_] == '+' ||
-                s_[pos_] == '-'))
-            ++pos_;
-        if (pos_ == start)
+        consume('-');
+        if (!consume('0') && digits() == 0)
             fail("expected a value");
+        if (consume('.') && digits() == 0)
+            fail("expected a digit after '.'");
+        if (consume('e') || consume('E')) {
+            if (!consume('+'))
+                consume('-');
+            if (digits() == 0)
+                fail("expected a digit in the exponent");
+        }
         JsonValue v;
         v.type = JsonValue::Type::Number;
         v.text = s_.substr(start, pos_ - start);

@@ -99,6 +99,22 @@ struct CowPair
         return std::uint32_t(divCeil(chunks, kChunksPerSector));
     }
 
+    /**
+     * Gather the record's chunk run out of its srcSectors() source
+     * sectors @p src into its dstSectors() destination sectors @p dst,
+     * chunk 0 first. Chunks of @p dst past the record keep their
+     * value.
+     */
+    void
+    gather(const SectorData *src, SectorData *dst) const
+    {
+        for (std::uint32_t c = 0; c < chunks; ++c) {
+            const std::uint32_t s = srcChunkShift + c;
+            dst[c / kChunksPerSector].chunks[c % kChunksPerSector] =
+                src[s / kChunksPerSector].chunks[s % kChunksPerSector];
+        }
+    }
+
     static CowPair
     make(Lba src, std::uint32_t src_chunk_shift, Lba dst,
          std::uint32_t chunks, std::uint64_t version = 0,

@@ -39,11 +39,7 @@ Isce::copyRecord(const CowPair &pair, Tick start)
                          start);
     std::vector<SectorData> &dst_buf = dstBuf_;
     dst_buf.assign(dst_sectors, SectorData{});
-    for (std::uint32_t c = 0; c < pair.chunks; ++c) {
-        const std::uint32_t s = pair.srcChunkShift + c;
-        dst_buf[c / kChunksPerSector].chunks[c % kChunksPerSector] =
-            src_buf[s / kChunksPerSector].chunks[s % kChunksPerSector];
-    }
+    pair.gather(src_buf.data(), dst_buf.data());
     return ftl_.writeSectors(pair.dst, dst_sectors, dst_buf.data(),
                              IoCause::Checkpoint, fetched,
                              pair.version);
@@ -62,25 +58,19 @@ Isce::bufferSmallRecord(const CowPair &pair, Tick start)
     const Tick fetched = ftl_.readSectors(
         pair.src, src_sectors, IoCause::Checkpoint, start);
     const std::uint32_t dst_sectors = pair.dstSectors();
+    std::vector<SectorData> &dst_buf = dstBuf_;
+    dst_buf.assign(dst_sectors, SectorData{});
+    pair.gather(src_buf.data(), dst_buf.data());
     for (std::uint32_t s = 0; s < dst_sectors; ++s) {
-        SectorData out;
-        for (std::uint32_t c = 0; c < kChunksPerSector; ++c) {
-            const std::uint32_t idx = s * kChunksPerSector + c;
-            if (idx >= pair.chunks)
-                break;
-            const std::uint32_t pos = pair.srcChunkShift + idx;
-            out.chunks[c] = src_buf[pos / kChunksPerSector]
-                                .chunks[pos % kChunksPerSector];
-        }
         // Replacing an existing entry elides the previous version's
         // flash write entirely.
+        const BufferedSector entry{dst_buf[s], pair.version};
         auto it = smallBuf_.find(pair.dst + s);
         if (it != smallBuf_.end()) {
-            it->second = BufferedSector{out, pair.version};
+            it->second = entry;
             sElided_.add();
         } else {
-            smallBuf_.emplace(pair.dst + s,
-                              BufferedSector{out, pair.version});
+            smallBuf_.emplace(pair.dst + s, entry);
         }
     }
     sBuffered_.add();

@@ -1,9 +1,9 @@
 /**
  * @file
  * Artifact input from outside the program: the JSON parser's nesting
- * cap, asU64's whole-number rule, and a seeded mutation campaign over
- * a real run's bundle that every report render must survive by
- * returning or throwing std::exception.
+ * cap and number grammar, asU64's whole-number rule, and a seeded
+ * mutation campaign over a real run's bundle that every report render
+ * must survive by returning or throwing std::exception.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +58,25 @@ TEST(JsonParse, AsU64AcceptsOnlyUnsignedWholeNumbers)
     EXPECT_EQ(v.at(8).asU64(9), 9u);
     EXPECT_EQ(v.at(9).asU64(9), 9u);
     EXPECT_EQ(v.at(10).asU64(9), 9u);
+}
+
+TEST(JsonParse, NumbersFollowTheJsonGrammar)
+{
+    const obs::JsonValue v = obs::parseJson(
+        "[0, -0, 12, -3.25, 1e5, 2E-3, 6.5e+2, 0.5]");
+    EXPECT_EQ(v.at(2).asDouble(), 12.0);
+    EXPECT_EQ(v.at(3).asDouble(), -3.25);
+    EXPECT_EQ(v.at(4).asDouble(), 1e5);
+    EXPECT_EQ(v.at(5).asDouble(), 2e-3);
+    EXPECT_EQ(v.at(6).asDouble(), 650.0);
+    EXPECT_EQ(v.at(7).asDouble(), 0.5);
+    for (const char *bad : {"12-34e5", "1e", "01", ".5", "1.", "+1", "-",
+                            "1e+", "-.5", "0x1", "1.5.2"}) {
+        EXPECT_THROW(obs::parseJson(std::string("{\"n\":") + bad + "}"),
+                     std::runtime_error)
+            << bad;
+        EXPECT_THROW(obs::parseJson(bad), std::runtime_error) << bad;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "harness/experiment.h"
@@ -70,6 +71,14 @@ struct Geometry
     std::uint32_t planes;
     const char *name;
 };
+
+/** Test names print the geometry's name, not its bytes (which hold a
+ *  pointer and padding and so change from build to build). */
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << g.name;
+}
 
 class GeometrySweep : public ::testing::TestWithParam<Geometry>
 {

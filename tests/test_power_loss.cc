@@ -415,5 +415,81 @@ INSTANTIATE_TEST_SUITE_P(
         }
     });
 
+// ---------------------------------------------------------------------
+// LSM backend: WAL replay and recovery's synchronous compaction
+// ---------------------------------------------------------------------
+
+TEST(PowerLossLsm, ReplayAndRecoveryCompactionArePinned)
+{
+    // One flush leaves a single L0 run (below kLsmCompactRuns); the
+    // updates after it stay in the WAL. After the cut, recovery
+    // replays them into a second run, which reaches kLsmCompactRuns
+    // and compacts during recovery.
+    EngineConfig ec;
+    ec.backend = EngineBackend::Lsm;
+    ec.recordCount = 300;
+    ec.journalHalfBytes = kMiB;
+    ec.checkpointJournalBytes = 512 * kKiB;
+    ec.checkpointInterval = 0;
+    // Several commands per batch in every phase.
+    ec.maxPairsPerCommand = 64;
+    SimContext ctx;
+    StorageNode node(ctx, stackConfig(ec));
+    node.load([](std::uint64_t) { return 384u; });
+    Rng rng(5);
+    std::map<std::uint64_t, std::uint32_t> committed;
+    auto updates = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            const std::uint64_t key = rng.nextBounded(300);
+            const std::uint32_t version =
+                node.engine().committedVersion(key) + 1;
+            node.engine().update(
+                key, std::uint32_t(128 * (1 + rng.nextBounded(8))),
+                [&committed, key, version](const QueryResult &) {
+                    committed[key] = version;
+                });
+            ctx.events().run();
+        }
+    };
+    updates(300);
+    node.engine().requestCheckpoint();
+    ctx.events().run();
+    updates(200);
+    ASSERT_EQ(node.sinceLoad("engine.compactions"), 0u);
+
+    const PowerCutReport report = node.powerCut();
+    for (const auto &[key, version] : committed) {
+        EXPECT_GE(node.engine().committedVersion(key), version)
+            << "lost key " << key;
+    }
+    EXPECT_EQ(node.engine().verifyAllKeys(), 300u);
+    // Recorded values: they pin the commands recovery sends, their
+    // order and their batching, which no other test compares.
+    EXPECT_EQ(report.rebuild.slotsRecovered, 1060u);
+    EXPECT_EQ(report.rebuild.remapsRecovered, 754u);
+    EXPECT_EQ(report.recovery.catalogKeys, 300u);
+    EXPECT_EQ(report.recovery.replayedLogs, 150u);
+    EXPECT_EQ(report.recovery.duration, Tick(15932780));
+    // The flush, the replay and the compaction send 5, 3 and 5
+    // batches of at most 64 pairs.
+    const std::map<std::string, std::uint64_t> pins = {
+        {"engine.compactions", 1},
+        {"engine.compactionCowCommands", 5},
+        {"engine.compactedRecords", 300},
+        {"engine.mergedUnits", 419},
+        {"ssd.cmd.checkpointRemap", 13},
+        {"ssd.cmd.deleteLogs", 3},
+        {"ssd.cmd.trim", 6},
+        {"isce.remappedPairs", 300},
+        {"isce.copiedPairs", 450},
+        {"isce.copiedChunks", 2568},
+        {"ftl.trimmedUnits", 2267},
+        {"ftl.slotWrites.checkpoint", 642},
+        {"nand.programs", 184},
+    };
+    for (const auto &[name, want] : pins)
+        EXPECT_EQ(node.sinceLoad(name), want) << name;
+}
+
 } // namespace
 } // namespace checkin

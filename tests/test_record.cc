@@ -1,9 +1,12 @@
 /**
  * @file
- * Tests for the invertible chunk-token encoding.
+ * Tests for the invertible chunk-token encoding and the parser that
+ * reads records back out of it.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "engine/record.h"
 #include "sim/rng.h"
@@ -113,6 +116,65 @@ TEST(Token, TombstoneRoundTrip)
     EXPECT_EQ(d.key, 777u);
     EXPECT_EQ(d.version, 42u);
     EXPECT_NE(tombstoneToken(777, 42), dataChunkToken(777, 42, 0));
+}
+
+/** Two sectors: a 3-chunk record of key 7 at chunk 0, a stray
+ *  catalog token at 3, a tombstone of key 9 at 4, chunk 0 of key 8
+ *  version 3 at 5, then a chunk 1 of version 4 (which ends that
+ *  record) and a stray chunk 1 of version 3. */
+std::vector<SectorData>
+mixedArea()
+{
+    std::vector<SectorData> area(2);
+    auto put = [&area](std::uint64_t pos, std::uint64_t token) {
+        area[pos / kChunksPerSector].chunks[pos % kChunksPerSector] =
+            token;
+    };
+    for (std::uint64_t c = 0; c < 3; ++c)
+        put(c, dataChunkToken(7, 2, c));
+    put(3, catalogToken(1, 1, 1));
+    put(4, tombstoneToken(9, 5));
+    put(5, dataChunkToken(8, 3, 0));
+    put(6, dataChunkToken(8, 4, 1));
+    put(7, dataChunkToken(8, 3, 1));
+    return area;
+}
+
+std::vector<ParsedRecord>
+parse(const std::vector<SectorData> &area, std::uint32_t stride)
+{
+    std::vector<ParsedRecord> out;
+    parseRecords(area.data(), area.size(), stride,
+                 [&out](const ParsedRecord &r) { out.push_back(r); });
+    return out;
+}
+
+TEST(ParseRecords, ChunkStrideFindsEveryRecord)
+{
+    const std::vector<ParsedRecord> r = parse(mixedArea(), 1);
+    ASSERT_EQ(r.size(), 3u);
+    EXPECT_EQ(r[0].key, 7u);
+    EXPECT_EQ(r[0].version, 2u);
+    EXPECT_EQ(r[0].chunkOff, 0u);
+    EXPECT_EQ(r[0].chunks, 3u);
+    EXPECT_EQ(r[1].key, 9u);
+    EXPECT_EQ(r[1].chunkOff, 4u);
+    EXPECT_EQ(r[1].chunks, 0u); // tombstone
+    EXPECT_EQ(r[2].key, 8u);
+    EXPECT_EQ(r[2].chunkOff, 5u);
+    EXPECT_EQ(r[2].chunks, 1u); // the next chunk is another version
+}
+
+TEST(ParseRecords, UnitStrideLooksOnlyAtUnitStarts)
+{
+    // Records start at chunks 0 and 4 only: the 3-chunk record takes
+    // one unit, the tombstone another.
+    const std::vector<ParsedRecord> r = parse(mixedArea(), 4);
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_EQ(r[0].key, 7u);
+    EXPECT_EQ(r[0].chunks, 3u);
+    EXPECT_EQ(r[1].key, 9u);
+    EXPECT_EQ(r[1].chunkOff, 4u);
 }
 
 } // namespace
