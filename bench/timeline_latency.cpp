@@ -43,7 +43,7 @@ runTimeline(CheckpointMode mode)
     const Tick bucket = 20 * kMsec;
     TimeSeries lat(bucket);
     TimeSeries ckpt(bucket);
-    ClientPool pool(ctx, engine, cfg.workload, cfg.threads);
+    ClientPool pool(ctx, engine, cfg.workload, TrafficSpec{}, cfg.threads);
     pool.setSampler([&](Tick issued, Tick done, bool during, bool) {
         lat.record(done - t0, done - issued);
         if (during)

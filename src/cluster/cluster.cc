@@ -127,9 +127,7 @@ runCluster(const ClusterConfig &cfg)
         r.totalEvents += r.shards.back().events;
         r.clampedSchedules += s->ctx().events().clampedSchedules();
     }
-    r.simSpan = r.router.lastCompletion > r.router.firstIssue
-                    ? r.router.lastCompletion - r.router.firstIssue
-                    : 0;
+    r.simSpan = r.router.span();
     if (r.simSpan > 0) {
         r.throughputOps = double(r.router.opsCompleted) /
                           (double(r.simSpan) / double(kSec));

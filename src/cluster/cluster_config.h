@@ -4,9 +4,9 @@
  *
  * A cluster run models N engine shards — each a full private stack
  * (SimContext + KvEngine + JournalManager + Ssd/FTL/NAND) — behind a
- * front-end router that owns the closed-loop clients and places keys
- * on shards by consistent hashing. The shards and the router advance
- * together under a conservative time-window synchronizer (see
+ * front-end router that owns the clients and places keys on shards by
+ * consistent hashing. The shards and the router advance together
+ * under a conservative time-window synchronizer (see
  * cluster/synchronizer.h), so one run is truly parallel yet
  * byte-identical for any synchronizer thread count.
  */
@@ -63,16 +63,17 @@ struct ClusterConfig
     std::uint32_t shardCount = 4;
 
     /** Client threads (closed loop) / service slots (open loop) at
-     *  the router. */
+     *  the router; at least 1 when the workload has operations. */
     std::uint32_t clients = 32;
 
     /**
-     * Router load-driver loop mode and arrival process
+     * Loop mode and arrival process of the router's ClientPool
      * (workload/traffic.h). Open mode turns the router into an
      * open-loop driver: arrivals wait in an unbounded FIFO for a
-     * free client slot and latency is measured from arrival.
-     * Tenants/flash-crowd fields are single-node features and are
-     * ignored here.
+     * free client slot and latency is measured from arrival. A
+     * flash crowd applies in full (rate surge and `latest` key
+     * picker); the tenant table is dropped, as the router keeps no
+     * per-tenant SLO accounting.
      */
     TrafficSpec traffic;
 

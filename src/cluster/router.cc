@@ -5,43 +5,47 @@
 
 namespace checkin {
 
+namespace {
+
+/** The router keeps no per-tenant accounting; without a tenant table
+ *  its pool draws no tenant pick per arrival. */
+TrafficSpec
+withoutTenants(TrafficSpec traffic)
+{
+    traffic.tenants.clear();
+    return traffic;
+}
+
+} // namespace
+
 RouterNode::RouterNode(std::uint64_t seed, const ClusterConfig &cfg,
                        const Placement &placement)
     : ClusterNode(seed, "router"),
       cfg_(cfg),
       placement_(placement),
-      gen_(cfg.workload, cfg.totalRecords()),
-      opTarget_(cfg.workload.operationCount),
-      clients_(std::max<std::uint32_t>(1, cfg.clients)),
-      issuedAt_(clients_, 0)
+      pool_(
+          ctx_,
+          [this](std::uint32_t client, const WorkloadGenerator::Op &op) {
+              routeOp(client, op);
+          },
+          cfg.totalRecords(), cfg.workload, withoutTenants(cfg.traffic),
+          cfg.clients)
 {
-    stats_.routedOps.assign(cfg.shardCount, 0);
-    stats_.routedBytes.assign(cfg.shardCount, 0);
-    if (cfg_.traffic.mode == LoopMode::Open) {
-        arrivals_.emplace(
-            cfg_.traffic,
-            ctx_.deriveSeed(TrafficSpec::kArrivalStream));
-    }
+    routing_.routedOps.assign(cfg.shardCount, 0);
+    routing_.routedBytes.assign(cfg.shardCount, 0);
+}
+
+RouterStats
+RouterNode::stats() const
+{
+    return RouterStats{pool_.stats(), routing_};
 }
 
 void
 RouterNode::start(Tick t0)
 {
     assert(t0 >= ctx_.now());
-    ctx_.events().schedule(t0, [this] {
-        stats_.firstIssue = ctx_.now();
-        if (cfg_.traffic.mode == LoopMode::Open) {
-            freeSlots_.reserve(clients_);
-            for (std::uint32_t c = clients_; c > 0; --c)
-                freeSlots_.push_back(c - 1);
-            scheduleNextArrival();
-            return;
-        }
-        for (std::uint32_t c = 0;
-             c < clients_ && stats_.opsIssued < opTarget_; ++c) {
-            issueNext(c);
-        }
-    });
+    ctx_.events().schedule(t0, [this] { pool_.start(); });
 
     if (cfg_.coordination == CkptCoordination::Independent)
         return;
@@ -70,23 +74,22 @@ RouterNode::onCoordinatorTimer()
         for (std::uint32_t s = 0; s < cfg_.shardCount; ++s) {
             m.dst = 1 + s;
             send(m);
-            ++stats_.ckptControls;
+            ++routing_.ckptControls;
         }
     } else {
         m.dst = 1 + nextCkptShard_;
         nextCkptShard_ = (nextCkptShard_ + 1) % cfg_.shardCount;
         send(m);
-        ++stats_.ckptControls;
+        ++routing_.ckptControls;
     }
     ctx_.events().scheduleAfter(coordPeriod_,
                                 [this] { onCoordinatorTimer(); });
 }
 
 void
-RouterNode::routeOp(const WorkloadGenerator::Op &op,
-                    std::uint32_t client)
+RouterNode::routeOp(std::uint32_t client, const WorkloadGenerator::Op &op)
 {
-    ++stats_.opsIssued;
+    ++routing_.opsIssued;
     const std::uint32_t shard = placement_.shardOf[op.key];
 
     Message m;
@@ -100,60 +103,12 @@ RouterNode::routeOp(const WorkloadGenerator::Op &op,
     m.scanLength = op.scanLength;
     send(m);
 
-    ++stats_.routedOps[shard];
+    ++routing_.routedOps[shard];
     if (op.type == WorkloadGenerator::OpType::Update ||
         op.type == WorkloadGenerator::OpType::Rmw) {
-        stats_.routedBytes[shard] += op.valueBytes;
-        stats_.totalBytes += op.valueBytes;
+        routing_.routedBytes[shard] += op.valueBytes;
+        routing_.totalBytes += op.valueBytes;
     }
-}
-
-void
-RouterNode::issueNext(std::uint32_t client)
-{
-    if (stats_.opsIssued >= opTarget_)
-        return;
-    const WorkloadGenerator::Op op = gen_.next();
-    issuedAt_[client] = ctx_.now();
-    routeOp(op, client);
-}
-
-void
-RouterNode::scheduleNextArrival()
-{
-    if (stats_.opsOffered >= opTarget_)
-        return;
-    const Tick gap = arrivals_->nextInterarrival(ctx_.now());
-    ctx_.events().scheduleAfter(gap, [this] { onArrival(); });
-}
-
-void
-RouterNode::onArrival()
-{
-    const Tick arrival = ctx_.now();
-    ++stats_.opsOffered;
-    stats_.lastArrival = arrival;
-    queue_.push_back(PendingOp{gen_.next(), arrival});
-    scheduleNextArrival();
-    if (!freeSlots_.empty()) {
-        const std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        dispatch(slot);
-    }
-}
-
-void
-RouterNode::dispatch(std::uint32_t slot)
-{
-    assert(!queue_.empty());
-    const PendingOp p = queue_.front();
-    queue_.pop_front();
-    const Tick issued = ctx_.now();
-    stats_.queueDelay.record(issued > p.arrival ? issued - p.arrival
-                                                : 0);
-    // Latency is measured from arrival: queue wait included.
-    issuedAt_[slot] = p.arrival;
-    routeOp(p.op, slot);
 }
 
 void
@@ -161,30 +116,8 @@ RouterNode::onMessage(const Message &m)
 {
     assert(m.kind == Message::Kind::Response &&
            "the router only receives responses");
-    const Tick now = ctx_.now();
-    const Tick issued = issuedAt_[m.client];
-    const Tick latency = now > issued ? now - issued : 0;
-    stats_.all.record(latency);
-    const bool is_read = m.op == WorkloadGenerator::OpType::Read ||
-                         m.op == WorkloadGenerator::OpType::Scan;
-    if (is_read)
-        stats_.reads.record(latency);
-    else
-        stats_.writes.record(latency);
-    if (m.duringCheckpoint)
-        stats_.duringCheckpoint.record(latency);
-    else
-        stats_.outsideCheckpoint.record(latency);
-    ++stats_.opsCompleted;
-    stats_.lastCompletion = std::max(stats_.lastCompletion, now);
-    if (cfg_.traffic.mode == LoopMode::Open) {
-        if (!queue_.empty())
-            dispatch(m.client);
-        else
-            freeSlots_.push_back(m.client);
-        return;
-    }
-    issueNext(m.client);
+    pool_.complete(m.client, QueryResult{ctx_.now(), m.duringCheckpoint,
+                                         m.found, m.scanned});
 }
 
 } // namespace checkin

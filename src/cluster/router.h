@@ -1,31 +1,27 @@
 /**
  * @file
- * Front-end router: closed-loop clients + key placement + checkpoint
- * coordination.
+ * Front-end router: the cluster's clients, key placement and
+ * checkpoint coordination.
  *
- * The router is synchronizer node 0. It owns the cluster's clients
- * (closed loop: each client keeps exactly one request in flight),
- * draws operations from the cluster-level workload over the global
- * key space, places each key on a shard via the precomputed
- * consistent-hash placement, and records client-visible latency when
- * the response returns. Under the Synchronized and Staggered policies
- * it also runs the checkpoint coordinator that sends CkptControl
- * messages to the shards.
+ * The router is synchronizer node 0. Its clients are a ClientPool
+ * (workload/client.h) over the global key space, in either loop mode
+ * of the cluster's TrafficSpec. The pool's issue hook places each key
+ * on a shard via the precomputed consistent-hash placement and sends
+ * the request; the response completes the op in the pool, which
+ * records client-visible latency. Under the Synchronized and
+ * Staggered policies the router also runs the checkpoint coordinator
+ * that sends CkptControl messages to the shards.
  */
 
 #ifndef CHECKIN_CLUSTER_ROUTER_H_
 #define CHECKIN_CLUSTER_ROUTER_H_
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "cluster/cluster_config.h"
 #include "cluster/node.h"
-#include "sim/histogram.h"
-#include "workload/traffic.h"
-#include "workload/ycsb.h"
+#include "workload/client.h"
 
 namespace checkin {
 
@@ -36,90 +32,60 @@ struct Placement
     std::vector<std::uint64_t> localKey;
 };
 
-/** Router-side (client-visible) outcome of a cluster run. */
-struct RouterStats
+/** What the router counts itself: routing and coordination. */
+struct RoutingTotals
 {
     std::uint64_t opsIssued = 0;
-    std::uint64_t opsCompleted = 0;
-    /** Open loop: arrivals generated at the router. */
-    std::uint64_t opsOffered = 0;
     std::uint64_t totalBytes = 0; //!< value payload bytes routed
     std::uint64_t ckptControls = 0;
-    Tick firstIssue = 0;
-    Tick lastCompletion = 0;
-    /** Open loop: last arrival tick. */
-    Tick lastArrival = 0;
-    /** End-to-end latency (issue -> response delivery; in open loop
-     *  measured from arrival, so queue wait is included). */
-    LatencyHistogram all;
-    /** Open loop: arrival -> issue wait for a free client slot. */
-    LatencyHistogram queueDelay;
-    LatencyHistogram reads;
-    LatencyHistogram writes;
-    LatencyHistogram duringCheckpoint;
-    LatencyHistogram outsideCheckpoint;
     /** Per-shard routing totals (the validator checks these equal
      *  the shard-side counters exactly). */
     std::vector<std::uint64_t> routedOps;
     std::vector<std::uint64_t> routedBytes;
 };
 
+/** Router-side outcome of a cluster run: the clients' latency and
+ *  progress (end-to-end, issue -> response delivery; in open loop
+ *  from arrival) plus the router's routing totals. */
+struct RouterStats : ClientStats, RoutingTotals
+{
+};
+
 /** The front-end node (synchronizer node 0). */
 class RouterNode : public ClusterNode
 {
   public:
+    /** Throws std::invalid_argument for 0 clients and a workload
+     *  with operations. */
     RouterNode(std::uint64_t seed, const ClusterConfig &cfg,
                const Placement &placement);
 
     /**
-     * Begin the run at @p t0: schedule the initial burst of client
-     * requests and (policy permitting) the checkpoint coordinator.
-     * @p t0 must be at or after every shard's load-quiesce tick so no
-     * request is delivered into a shard's past.
+     * Begin the run at @p t0: start the clients and (policy
+     * permitting) the checkpoint coordinator. @p t0 must be at or
+     * after every shard's load-quiesce tick so no request is
+     * delivered into a shard's past.
      */
     void start(Tick t0);
 
     /** True once every workload operation has completed. */
-    bool
-    done() const
-    {
-        return stats_.opsCompleted >= opTarget_;
-    }
+    bool done() const { return pool_.done(); }
 
-    const RouterStats &stats() const { return stats_; }
+    RouterStats stats() const;
 
   protected:
     void onMessage(const Message &m) override;
 
   private:
-    /** An open-loop arrival waiting for a free client slot. */
-    struct PendingOp
-    {
-        WorkloadGenerator::Op op;
-        Tick arrival = 0;
-    };
-
-    void issueNext(std::uint32_t client);
-    void routeOp(const WorkloadGenerator::Op &op,
-                 std::uint32_t client);
-    void scheduleNextArrival();
-    void onArrival();
-    void dispatch(std::uint32_t slot);
+    void routeOp(std::uint32_t client, const WorkloadGenerator::Op &op);
     void onCoordinatorTimer();
 
     const ClusterConfig &cfg_;
     const Placement &placement_;
-    WorkloadGenerator gen_;
-    std::uint64_t opTarget_;
-    std::uint32_t clients_;
     Tick coordPeriod_ = 0;     //!< coordinator self-reschedule period
     std::uint32_t nextCkptShard_ = 0; //!< staggered rotation cursor
-    std::vector<Tick> issuedAt_;      //!< per-client in-flight issue
-    RouterStats stats_;
-    // Open-loop state (cfg.traffic.mode == LoopMode::Open).
-    std::optional<ArrivalEngine> arrivals_;
-    std::deque<PendingOp> queue_;
-    std::vector<std::uint32_t> freeSlots_;
+    RoutingTotals routing_;
+    ClientPool pool_;
 };
 
 } // namespace checkin

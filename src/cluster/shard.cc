@@ -3,26 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
+#include "workload/client.h"
+
 namespace checkin {
-
-namespace {
-
-obs::OpClass
-opAttrClass(WorkloadGenerator::OpType type)
-{
-    switch (type) {
-      case WorkloadGenerator::OpType::Read: return obs::OpClass::Read;
-      case WorkloadGenerator::OpType::Update:
-        return obs::OpClass::Update;
-      case WorkloadGenerator::OpType::Rmw: return obs::OpClass::Rmw;
-      case WorkloadGenerator::OpType::Scan: return obs::OpClass::Scan;
-      case WorkloadGenerator::OpType::Delete:
-        return obs::OpClass::Delete;
-    }
-    return obs::OpClass::Read;
-}
-
-} // namespace
 
 ShardNode::ShardNode(std::uint32_t shard, std::uint64_t seed,
                      const ExperimentConfig &cfg,
@@ -96,8 +79,7 @@ void
 ShardNode::execute(const Message &m)
 {
     const Tick arrival = ctx_.now();
-    const obs::OpToken tok =
-        obs::attrBeginOp(opAttrClass(m.op), arrival);
+    const obs::OpToken tok = obs::attrBeginOp(opClass(m.op), arrival);
     std::uint32_t slot = freeSlot_;
     if (slot != kNoSlot) {
         freeSlot_ = inflight_[slot].nextFree;
@@ -106,28 +88,9 @@ ShardNode::execute(const Message &m)
         inflight_.emplace_back();
     }
     inflight_[slot] = InFlight{m, arrival, tok};
-    auto cb = [this, slot](const QueryResult &res) {
-        complete(slot, res);
-    };
     obs::AttrOpScope attr_scope(tok);
-    switch (m.op) {
-      case WorkloadGenerator::OpType::Read:
-        engine().get(m.key, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Update:
-        engine().update(m.key, m.valueBytes, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Rmw:
-        engine().readModifyWrite(m.key, m.valueBytes,
-                                 std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Scan:
-        engine().scan(m.key, m.scanLength, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Delete:
-        engine().erase(m.key, std::move(cb));
-        break;
-    }
+    issueOp(engine(), {m.op, m.key, m.valueBytes, m.scanLength},
+            [this, slot](const QueryResult &res) { complete(slot, res); });
 }
 
 void

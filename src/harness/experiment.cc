@@ -38,13 +38,6 @@ ExperimentConfig::resolvedMappingUnit() const
 RunResult
 runExperiment(const ExperimentConfig &cfg)
 {
-    if (cfg.threads == 0 && cfg.workload.operationCount > 0) {
-        // Without clients the workload can never finish, but the
-        // engine's checkpoint timer keeps the event queue alive —
-        // the run would spin forever instead of deadlocking.
-        throw std::invalid_argument(
-            "experiment needs at least one client thread");
-    }
     // The run's context: event queue, root RNG, and observability
     // sinks. Everything the simulation touches hangs off it (or off
     // this stack frame), so concurrent runExperiment calls on

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
-#include "obs/attribution.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -25,8 +25,10 @@ opTraceName(WorkloadGenerator::OpType type)
     return "op.unknown";
 }
 
+} // namespace
+
 obs::OpClass
-opAttrClass(WorkloadGenerator::OpType type)
+opClass(WorkloadGenerator::OpType type)
 {
     switch (type) {
       case WorkloadGenerator::OpType::Read: return obs::OpClass::Read;
@@ -40,27 +42,62 @@ opAttrClass(WorkloadGenerator::OpType type)
     return obs::OpClass::Read;
 }
 
-} // namespace
-
-ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
-                       const WorkloadSpec &spec,
-                       std::uint32_t threads)
-    : ClientPool(ctx, engine, spec, TrafficSpec{}, threads)
+void
+issueOp(StorageEngine &engine, const WorkloadGenerator::Op &op,
+        StorageEngine::QueryCb cb)
 {
+    switch (op.type) {
+      case WorkloadGenerator::OpType::Read:
+        engine.get(op.key, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Update:
+        engine.update(op.key, op.valueBytes, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Rmw:
+        engine.readModifyWrite(op.key, op.valueBytes, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Scan:
+        engine.scan(op.key, op.scanLength, std::move(cb));
+        break;
+      case WorkloadGenerator::OpType::Delete:
+        engine.erase(op.key, std::move(cb));
+        break;
+    }
 }
 
 ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
                        const WorkloadSpec &spec,
                        const TrafficSpec &traffic,
                        std::uint32_t threads)
-    : eq_(ctx.events()),
-      engine_(engine),
-      gen_(spec, engine.config().recordCount),
+    : ClientPool(
+          ctx,
+          [this, &engine](std::uint32_t slot,
+                          const WorkloadGenerator::Op &op) {
+              issueOp(engine, op, [this, slot](const QueryResult &res) {
+                  complete(slot, res);
+              });
+          },
+          engine.config().recordCount, spec, traffic, threads)
+{
+}
+
+ClientPool::ClientPool(SimContext &ctx, Issue issue,
+                       std::uint64_t key_count,
+                       const WorkloadSpec &spec,
+                       const TrafficSpec &traffic,
+                       std::uint32_t slots)
+    : issue_(std::move(issue)),
+      eq_(ctx.events()),
+      gen_(spec, key_count),
       traffic_(traffic),
       opTarget_(spec.operationCount),
-      threads_(threads),
-      inflight_(threads)
+      threads_(slots),
+      inflight_(slots)
 {
+    if (threads_ == 0 && opTarget_ > 0) {
+        throw std::invalid_argument(
+            "load driver needs at least one client thread");
+    }
     for (std::uint32_t t = 0; t < threads_; ++t) {
         obs::nameLane(obs::Cat::Workload, t,
                       "client" + std::to_string(t));
@@ -74,8 +111,8 @@ ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
             crowd.distribution = Distribution::Latest;
             crowd.seed =
                 ctx.deriveSeed(TrafficSpec::kFlashKeyStream);
-            flashGen_ = std::make_unique<WorkloadGenerator>(
-                crowd, engine.config().recordCount);
+            flashGen_ =
+                std::make_unique<WorkloadGenerator>(crowd, key_count);
         }
         for (const TenantSpec &t : traffic_.tenants) {
             TenantStats ts;
@@ -119,7 +156,6 @@ ClientPool::ClientPool(SimContext &ctx, StorageEngine &engine,
 void
 ClientPool::start()
 {
-    started_ = true;
     stats_.firstIssue = eq_.now();
     if (traffic_.mode == LoopMode::Open) {
         freeSlots_.reserve(threads_);
@@ -132,30 +168,6 @@ ClientPool::start()
     for (std::uint32_t t = 0; t < threads_ && opsIssued_ < opTarget_;
          ++t) {
         issueNext(t);
-    }
-}
-
-void
-ClientPool::issueToEngine(const WorkloadGenerator::Op &op,
-                          StorageEngine::QueryCb cb)
-{
-    switch (op.type) {
-      case WorkloadGenerator::OpType::Read:
-        engine_.get(op.key, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Update:
-        engine_.update(op.key, op.valueBytes, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Rmw:
-        engine_.readModifyWrite(op.key, op.valueBytes,
-                                std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Scan:
-        engine_.scan(op.key, op.scanLength, std::move(cb));
-        break;
-      case WorkloadGenerator::OpType::Delete:
-        engine_.erase(op.key, std::move(cb));
-        break;
     }
 }
 
@@ -176,26 +188,13 @@ ClientPool::issueNext(std::uint32_t thread)
     // captures the token into its task); finish it exactly when the
     // client observes completion, so the stage dwells sum to the
     // client-visible latency.
-    const obs::OpToken tok =
-        obs::attrBeginOp(opAttrClass(op.type), issued);
+    const obs::OpToken tok = obs::attrBeginOp(opClass(op.type), issued);
     InFlight &f = inflight_[thread];
     f.type = op.type;
     f.start = issued;
     f.tok = tok;
     obs::AttrOpScope attr_scope(tok);
-    issueToEngine(op, [this, thread](const QueryResult &res) {
-        onClosedDone(thread, res);
-    });
-}
-
-void
-ClientPool::onClosedDone(std::uint32_t thread, const QueryResult &res)
-{
-    // Copy: issueNext() below reuses the slot.
-    const InFlight f = inflight_[thread];
-    obs::attrFinishOp(f.tok, res.done);
-    record(f.type, thread, f.start, res);
-    issueNext(thread);
+    issue_(thread, op);
 }
 
 // ----------------------------------------------------------------------
@@ -229,7 +228,7 @@ ClientPool::onArrival()
     p.tenant = arrivals_->pickTenant();
     // The timeline starts at arrival: queue wait is part of the
     // latency an open-loop client observes.
-    p.tok = obs::attrBeginOp(opAttrClass(p.op.type), arrival);
+    p.tok = obs::attrBeginOp(opClass(p.op.type), arrival);
     queue_.push_back(std::move(p));
     scheduleNextArrival();
     if (!freeSlots_.empty()) {
@@ -251,23 +250,28 @@ ClientPool::dispatch(std::uint32_t slot)
     obs::attrMark(p.tok, obs::Stage::QueueDelay, issued);
     inflight_[slot] = InFlight{p.op.type, p.arrival, p.tok, p.tenant};
     obs::AttrOpScope attr_scope(p.tok);
-    issueToEngine(p.op, [this, slot](const QueryResult &res) {
-        onOpenDone(slot, res);
-    });
+    issue_(slot, p.op);
 }
 
+// ----------------------------------------------------------------------
+// Completion
+// ----------------------------------------------------------------------
+
 void
-ClientPool::onOpenDone(std::uint32_t slot, const QueryResult &res)
+ClientPool::complete(std::uint32_t slot, const QueryResult &res)
 {
-    // Copy: dispatch() below reuses the slot.
+    // Copy: the next issue below reuses the slot.
     const InFlight f = inflight_[slot];
-    const Tick arrival = f.start;
     obs::attrFinishOp(f.tok, res.done);
-    // Latency from arrival: queue delay included.
-    record(f.type, slot, arrival, res);
+    // Open loop: latency from arrival, queue delay included.
+    record(f.type, slot, f.start, res);
+    if (traffic_.mode == LoopMode::Closed) {
+        issueNext(slot);
+        return;
+    }
     if (f.tenant < stats_.tenants.size()) {
         TenantStats &ts = stats_.tenants[f.tenant];
-        const Tick lat = res.done > arrival ? res.done - arrival : 0;
+        const Tick lat = res.done > f.start ? res.done - f.start : 0;
         ts.latency.record(lat);
         ++ts.opsCompleted;
         const bool violated = ts.sloLatency > 0 && lat > ts.sloLatency;

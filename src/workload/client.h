@@ -1,8 +1,11 @@
 /**
  * @file
  * Unified load driver: a pool of N logical client threads running a
- * WorkloadSpec against a StorageEngine in either loop mode of a
- * TrafficSpec (workload/traffic.h).
+ * WorkloadSpec in either loop mode of a TrafficSpec
+ * (workload/traffic.h). The pool hands each op to an issue hook and
+ * learns of its completion through complete(); the engine
+ * constructor's hook is issueOp(), and the cluster router's hook
+ * routes the op to a shard.
  *
  * Closed loop (default): each thread keeps exactly one query
  * outstanding — the paper's "number of threads" axis.
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "engine/storage_engine.h"
+#include "obs/attribution.h"
 #include "sim/event_queue.h"
 #include "sim/histogram.h"
 #include "sim/ring_queue.h"
@@ -106,24 +110,54 @@ struct ClientStats
     }
 };
 
-/** Drives a WorkloadSpec against a StorageEngine per a TrafficSpec's
- *  loop mode. */
+/** Hand @p op to @p engine's entry point for its type; @p cb runs
+ *  when the engine completes it. */
+void issueOp(StorageEngine &engine, const WorkloadGenerator::Op &op,
+             StorageEngine::QueryCb cb);
+
+/** Latency-attribution class of an op type. */
+obs::OpClass opClass(WorkloadGenerator::OpType type);
+
+/** Drives a WorkloadSpec per a TrafficSpec's loop mode. */
 class ClientPool
 {
   public:
-    /** Closed-loop pool (historical interface). */
-    ClientPool(SimContext &ctx, StorageEngine &engine,
-               const WorkloadSpec &spec, std::uint32_t threads);
+    /** Hands the op of @p slot (a closed-loop thread or open-loop
+     *  service slot) to the system under load, which reports its
+     *  completion through complete(slot, ...). */
+    using Issue = std::function<void(std::uint32_t slot,
+                                     const WorkloadGenerator::Op &)>;
 
-    /** Loop mode, arrival process, and tenants per @p traffic;
-     *  @p threads is the thread count (closed) or service-slot
-     *  count (open). */
+    /**
+     * Draws keys in [0, @p key_count); loop mode, arrival process,
+     * and tenants per @p traffic; @p slots is the thread count
+     * (closed) or service-slot count (open). Throws
+     * std::invalid_argument for 0 slots and a workload with
+     * operations: nothing would issue, and an engine's checkpoint
+     * timer would keep the event queue running forever.
+     */
+    ClientPool(SimContext &ctx, Issue issue, std::uint64_t key_count,
+               const WorkloadSpec &spec, const TrafficSpec &traffic,
+               std::uint32_t slots);
+
+    /** Pool over @p engine's key space that issues every op to it
+     *  through issueOp(). */
     ClientPool(SimContext &ctx, StorageEngine &engine,
                const WorkloadSpec &spec, const TrafficSpec &traffic,
                std::uint32_t threads);
 
+    // The issue hook, the engine continuations and the telemetry
+    // probes hold this pool's address.
+    ClientPool(const ClientPool &) = delete;
+    ClientPool &operator=(const ClientPool &) = delete;
+
     /** Launch all threads' first operations / the arrival clock. */
     void start();
+
+    /** The op of @p slot completed at @p res.done: record it and
+     *  issue the slot's next op (closed loop) or the next queued
+     *  arrival (open loop). */
+    void complete(std::uint32_t slot, const QueryResult &res);
 
     /** True once every operation completed. */
     bool done() const { return stats_.opsCompleted >= opTarget_; }
@@ -149,8 +183,8 @@ class ClientPool
 
     /**
      * The op a thread (closed loop) or service slot (open loop) has
-     * in the engine. Keeping it here lets the engine continuation
-     * capture only {this, slot}, which std::function stores inline.
+     * issued. Keeping it here lets an engine continuation capture
+     * only {this, slot}, which std::function stores inline.
      */
     struct InFlight
     {
@@ -162,19 +196,15 @@ class ClientPool
     };
 
     void issueNext(std::uint32_t thread);
-    void onClosedDone(std::uint32_t thread, const QueryResult &res);
     void record(WorkloadGenerator::OpType type, std::uint32_t thread,
                 Tick issued, const QueryResult &res);
 
     void scheduleNextArrival();
     void onArrival();
     void dispatch(std::uint32_t slot);
-    void onOpenDone(std::uint32_t slot, const QueryResult &res);
-    void issueToEngine(const WorkloadGenerator::Op &op,
-                       StorageEngine::QueryCb cb);
 
+    Issue issue_;
     EventQueue &eq_;
-    StorageEngine &engine_;
     WorkloadGenerator gen_;
     TrafficSpec traffic_;
     std::uint64_t opTarget_;
@@ -186,7 +216,6 @@ class ClientPool
     Sampler sampler_;
     /** Telemetry sampler of the run (nullptr: telemetry off). */
     obs::TelemetrySampler *telem_ = nullptr;
-    bool started_ = false;
 
     // Open-loop state.
     std::optional<ArrivalEngine> arrivals_;

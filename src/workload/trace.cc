@@ -10,6 +10,7 @@
 
 #include "engine/storage_engine.h"
 #include "sim/sim_context.h"
+#include "workload/client.h"
 
 namespace checkin {
 
@@ -157,32 +158,12 @@ TraceReplayer::start()
 void
 TraceReplayer::issueNext()
 {
-    using OpType = WorkloadGenerator::OpType;
     if (issued_ >= trace_.size())
         return;
-    const Trace::Op &op = trace_.ops()[issued_++];
-    auto cb = [this](const QueryResult &) {
+    issueOp(engine_, trace_.ops()[issued_++], [this](const QueryResult &) {
         ++completed_;
         issueNext();
-    };
-    switch (op.type) {
-      case OpType::Read:
-        engine_.get(op.key, std::move(cb));
-        break;
-      case OpType::Update:
-        engine_.update(op.key, op.valueBytes, std::move(cb));
-        break;
-      case OpType::Rmw:
-        engine_.readModifyWrite(op.key, op.valueBytes,
-                                std::move(cb));
-        break;
-      case OpType::Scan:
-        engine_.scan(op.key, op.scanLength, std::move(cb));
-        break;
-      case OpType::Delete:
-        engine_.erase(op.key, std::move(cb));
-        break;
-    }
+    });
 }
 
 } // namespace checkin

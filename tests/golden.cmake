@@ -7,11 +7,13 @@
 # Runs the recipes of GROUP (every group when GROUP is unset) in the
 # working directory, each with CHECKIN_BENCH_DIR set to its own
 # directory, and takes the SHA-256 of what it simulates: its stdout,
-# every file it writes, or the "runs" member of its BENCH file (which
-# leaves out the wall-clock "sweep" object). Fails unless the digests
-# equal TABLE's lines of those recipes; UPDATE=ON runs every group and
-# rewrites TABLE instead. Run it from a fixed directory: stdout prints
-# the artifact paths.
+# every file it writes, or the "runs" member of its BENCH file. A
+# runs:<name> hash ends the member before the wall-clock "sweep"
+# object; an untimed:<name> hash takes it to the end of the file and
+# removes every "eventsPerSec" and "wallSeconds" field. Fails unless
+# the digests equal TABLE's lines of those recipes; UPDATE=ON runs
+# every group and rewrites TABLE instead. Run it from a fixed
+# directory: stdout prints the artifact paths.
 cmake_minimum_required(VERSION 3.16) # quoted if() operands stay strings
 
 # cli: checkin_cli bundles, stdout and every file; fig04 and fig10.
@@ -45,9 +47,11 @@ foreach(fig fig04_breakdown fig10_checkpoint_time ${runs_figures})
 endforeach()
 list(APPEND runs_cli fig04_breakdown fig10_checkpoint_time)
 
-# benches: the other benches, the crash demo and CI's cluster bundle.
+# benches: the other benches, the crash demo, CI's cluster bundle and
+# the cluster scaling grid.
 set(runs_benches ablation_checkin ext_workloads engine_compare openloop
-    fault_sweep recovery_time timeline_latency crash cluster)
+    fault_sweep recovery_time timeline_latency crash cluster
+    cluster_scaling)
 foreach(bench ablation_checkin ext_workloads)
     set(cmd_${bench} ${BENCH}/${bench})
     set(hash_${bench} runs:${bench})
@@ -67,6 +71,10 @@ set(hash_crash stdout)
 set(cmd_cluster ${CLI} --preset cluster --ops 6000 --openloop 150000
     --telemetry --artifact-dir cluster)
 set(hash_cluster stdout files)
+# The policy grid records its synchronizer thread count, which
+# defaults to the core count.
+set(cmd_cluster_scaling CHECKIN_JOBS=2 ${BENCH}/cluster_scaling --quick)
+set(hash_cluster_scaling untimed:cluster)
 
 if(UPDATE OR NOT GROUP)
     set(groups cli figures benches)
@@ -105,17 +113,27 @@ foreach(run ${runs})
                 list(APPEND lines "${digest}  ${f}")
             endforeach()
         else()
-            string(REPLACE "runs:" "" name "${what}")
-            set(json_file ${run}/BENCH_${name}.json)
+            string(REGEX MATCH "^(runs|untimed):(.+)$" kind "${what}")
+            set(kind ${CMAKE_MATCH_1})
+            set(json_file ${run}/BENCH_${CMAKE_MATCH_2}.json)
             file(READ ${json_file} json)
             string(FIND "${json}" "\"runs\":" begin)
-            string(FIND "${json}" "\n,\"sweep\":" end REVERSE)
+            if(kind STREQUAL "runs")
+                string(FIND "${json}" "\n,\"sweep\":" end REVERSE)
+            else()
+                string(LENGTH "${json}" end)
+            endif()
             if(begin LESS 0 OR end LESS begin)
                 message(FATAL_ERROR
                         "${json_file}: no runs member before the sweep")
             endif()
             math(EXPR len "${end} - ${begin}")
             string(SUBSTRING "${json}" ${begin} ${len} body)
+            if(kind STREQUAL "untimed")
+                string(REGEX REPLACE
+                       ",\"(eventsPerSec|wallSeconds)\":[^,}]*" ""
+                       body "${body}")
+            endif()
             string(SHA256 digest "${body}")
             list(APPEND lines "${digest}  ${json_file}#runs")
         endif()

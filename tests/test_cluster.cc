@@ -47,6 +47,22 @@ fiveShardConfig()
     return cfg;
 }
 
+/** Open-loop MMPP arrivals with a 4x flash crowd. The router starts
+ *  near 15 ms and the last arrival lands near 26 ms, so the crowd's
+ *  window lies inside the measured run. */
+ClusterConfig
+flashCrowdConfig()
+{
+    ClusterConfig cfg = testConfig();
+    cfg.traffic.mode = LoopMode::Open;
+    cfg.traffic.process = ArrivalProcess::Mmpp;
+    cfg.traffic.offeredOpsPerSec = 150'000.0;
+    cfg.traffic.flashCrowdStart = 20 * kMsec;
+    cfg.traffic.flashCrowdDuration = 5 * kMsec;
+    cfg.traffic.flashCrowdMultiplier = 4.0;
+    return cfg;
+}
+
 std::string
 runJson(ClusterConfig cfg)
 {
@@ -74,8 +90,10 @@ TEST(HashRing, CoversAllShardsDeterministically)
 TEST(Cluster, ByteIdenticalAcrossSyncThreads)
 {
     std::vector<std::string> serial;
-    for (ClusterConfig cfg : {testConfig(), fiveShardConfig()}) {
-        SCOPED_TRACE(std::to_string(cfg.shardCount) + " shards");
+    for (ClusterConfig cfg :
+         {testConfig(), fiveShardConfig(), flashCrowdConfig()}) {
+        SCOPED_TRACE(std::to_string(cfg.shardCount) + " shards, " +
+                     loopModeName(cfg.traffic.mode) + " loop");
         ASSERT_GE(cfg.shardCount, 4u);
         cfg.syncThreads = 1;
         serial.push_back(runJson(cfg));
@@ -107,6 +125,44 @@ TEST(Cluster, ByteIdenticalAcrossSyncThreads)
     }
     for (const std::string &json : outer)
         EXPECT_EQ(serial.front(), json);
+
+    // The flash crowd surges inside the measured run.
+    const ClusterConfig flash = flashCrowdConfig();
+    const ClusterResult r = runCluster(flash);
+    EXPECT_LT(r.startTick, flash.traffic.flashCrowdStart);
+    EXPECT_GT(r.router.lastArrival, flash.traffic.flashCrowdStart +
+                                         flash.traffic.flashCrowdDuration);
+}
+
+TEST(Cluster, TenantTableLeavesRouterOutputUnchanged)
+{
+    // The router keeps no per-tenant accounting, so a tenant table
+    // draws nothing from the arrival stream either.
+    ClusterConfig cfg = testConfig();
+    cfg.traffic.mode = LoopMode::Open;
+    cfg.traffic.process = ArrivalProcess::Mmpp;
+    cfg.traffic.offeredOpsPerSec = 150'000.0;
+    const std::string plain = runJson(cfg);
+    cfg.traffic.tenants.push_back(TenantSpec{"slo", 1.0, 2 * kMsec});
+    EXPECT_EQ(plain, runJson(cfg));
+}
+
+TEST(Cluster, ZeroClientsAreRejected)
+{
+    for (const LoopMode mode : {LoopMode::Closed, LoopMode::Open}) {
+        SCOPED_TRACE(loopModeName(mode));
+        ClusterConfig cfg = testConfig();
+        cfg.clients = 0;
+        cfg.traffic.mode = mode;
+        try {
+            runCluster(cfg);
+            ADD_FAILURE() << "a cluster with no clients ran";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("client thread"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Cluster, IdleWorkersParkAndWake)

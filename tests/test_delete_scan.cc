@@ -228,7 +228,7 @@ TEST(WorkloadE, RunsEndToEnd)
     WorkloadSpec spec = WorkloadSpec::e();
     spec.operationCount = 500;
     spec.maxScanLength = 16;
-    ClientPool pool(s.ctx, s.engine(), spec, 8);
+    ClientPool pool(s.ctx, s.engine(), spec, TrafficSpec{}, 8);
     pool.start();
     while (!pool.done()) {
         ASSERT_TRUE(s.eq.step()) << "deadlock";
@@ -242,7 +242,7 @@ TEST(WorkloadD, LatestDistributionRuns)
     Stack s;
     WorkloadSpec spec = WorkloadSpec::d();
     spec.operationCount = 500;
-    ClientPool pool(s.ctx, s.engine(), spec, 8);
+    ClientPool pool(s.ctx, s.engine(), spec, TrafficSpec{}, 8);
     pool.start();
     while (!pool.done()) {
         ASSERT_TRUE(s.eq.step()) << "deadlock";

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "harness/presets.h"
@@ -31,7 +33,49 @@ tinyConfig(CheckpointMode mode, const WorkloadSpec &wl)
     return c;
 }
 
-using ModeWorkload = std::tuple<CheckpointMode, const char *>;
+/** One matrix point: a checkpoint mode and a YCSB workload. */
+struct ModeWorkload
+{
+    CheckpointMode mode;
+    const char *workload; //!< "a", "f" or "wo"
+};
+
+/** The point's test name, such as IscA_wo. */
+std::string
+caseName(const ModeWorkload &p)
+{
+    std::string name;
+    switch (p.mode) {
+      case CheckpointMode::Baseline: name = "Baseline"; break;
+      case CheckpointMode::IscA: name = "IscA"; break;
+      case CheckpointMode::IscB: name = "IscB"; break;
+      case CheckpointMode::IscC: name = "IscC"; break;
+      case CheckpointMode::CheckIn: name = "CheckIn"; break;
+    }
+    return name + "_" + p.workload;
+}
+
+/** Test names print the point's name, not the workload string's
+ *  address (which changes from build to build). */
+void
+PrintTo(const ModeWorkload &p, std::ostream *os)
+{
+    *os << caseName(p);
+}
+
+std::vector<ModeWorkload>
+modeWorkloadPoints()
+{
+    std::vector<ModeWorkload> points;
+    for (const CheckpointMode mode :
+         {CheckpointMode::Baseline, CheckpointMode::IscA,
+          CheckpointMode::IscB, CheckpointMode::IscC,
+          CheckpointMode::CheckIn}) {
+        for (const char *workload : {"a", "f", "wo"})
+            points.push_back({mode, workload});
+    }
+    return points;
+}
 
 class ModeWorkloadMatrix
     : public ::testing::TestWithParam<ModeWorkload>
@@ -50,9 +94,9 @@ class ModeWorkloadMatrix
 
 TEST_P(ModeWorkloadMatrix, RunsToCompletionAndVerifies)
 {
-    const auto [mode, wl_name] = GetParam();
+    const ModeWorkload p = GetParam();
     const RunResult r =
-        runExperiment(tinyConfig(mode, workloadByName(wl_name)));
+        runExperiment(tinyConfig(p.mode, workloadByName(p.workload)));
     EXPECT_EQ(r.client.opsCompleted, 6'000u);
     EXPECT_GT(r.throughputOps, 0.0);
     EXPECT_GT(r.client.all.mean(), 0.0);
@@ -62,23 +106,9 @@ TEST_P(ModeWorkloadMatrix, RunsToCompletionAndVerifies)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, ModeWorkloadMatrix,
-    ::testing::Combine(
-        ::testing::Values(CheckpointMode::Baseline,
-                          CheckpointMode::IscA, CheckpointMode::IscB,
-                          CheckpointMode::IscC,
-                          CheckpointMode::CheckIn),
-        ::testing::Values("a", "f", "wo")),
+    Matrix, ModeWorkloadMatrix, ::testing::ValuesIn(modeWorkloadPoints()),
     [](const ::testing::TestParamInfo<ModeWorkload> &info) {
-        std::string name;
-        switch (std::get<0>(info.param)) {
-          case CheckpointMode::Baseline: name = "Baseline"; break;
-          case CheckpointMode::IscA: name = "IscA"; break;
-          case CheckpointMode::IscB: name = "IscB"; break;
-          case CheckpointMode::IscC: name = "IscC"; break;
-          case CheckpointMode::CheckIn: name = "CheckIn"; break;
-        }
-        return name + "_" + std::get<1>(info.param);
+        return caseName(info.param);
     });
 
 TEST(PaperClaims, CheckInBeatsBaselineOnRedundantWrites)
